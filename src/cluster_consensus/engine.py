@@ -1,4 +1,4 @@
-"""Protocol execution: per-node updates, delay buffers, and run drivers.
+"""Protocol execution: vectorised updates, delay buffers, and run drivers.
 
 One iteration is one synchronous sweep: every follower mixes with its
 neighbours at step size gamma and tracks its own leader; every leader mixes
@@ -6,9 +6,11 @@ with the other leaders at step size beta, reading their states through a
 uniform delay of tau iterations.  All reads use pre-step values.  States are
 d-dimensional row vectors stacked into per-cluster blocks.
 
-The updates here are written as explicit per-node accumulations over
-neighbour lists.  The test suite checks them against an independent dense
-matrix-form evaluation of the same equations.
+Both updates apply their mixing matrix through `WeightMatrix.mix`, which
+sums each row over a padded neighbour table in neighbour-list order, so
+every value equals the per-node accumulation bit for bit.  The test suite
+checks the updates against that per-node form and against an independent
+dense matrix-form evaluation of the same equations.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
 
 
 # ---------------------------------------------------------------------
-# one-step updates (per-node accumulation)
+# one-step updates
 # ---------------------------------------------------------------------
 
 def follower_step(network, state: NetworkState, cluster_index: int,
@@ -179,21 +181,14 @@ def follower_step(network, state: NetworkState, cluster_index: int,
     gamma towards its leader.  With tau_intra > 0 both reads use the values
     from tau_intra iterations ago.
     """
-    cluster = network.clusters[cluster_index]
-    w = cluster.follower_weights.entries
+    weights = network.clusters[cluster_index].follower_weights
     if state.intra_delay is not None:
         block = state.intra_delay.lookup(state.tau_intra)[cluster_index]
         lead = state.leader_delay.lookup(state.tau_intra)[cluster_index]
     else:
         block = state.follower_blocks[cluster_index]
         lead = state.leader_block[cluster_index]
-    new = np.empty_like(block)
-    for i in range(block.shape[0]):
-        acc = w[i, i] * block[i]
-        for j in cluster.follower_graph.neighbors(i):
-            acc += w[i, j] * block[j]
-        new[i] = (1.0 - gamma) * acc + gamma * lead
-    return new
+    return (1.0 - gamma) * weights.mix(block) + gamma * lead
 
 
 def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
@@ -204,14 +199,7 @@ def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
     """
     current = state.leader_block
     delayed = state.leader_delay.lookup(state.tau)
-    v = weights.entries
-    new = np.empty_like(current)
-    for a in range(current.shape[0]):
-        acc = v[a, a] * delayed[a]
-        for b in weights.support.neighbors(a):
-            acc += v[a, b] * delayed[b]
-        new[a] = (1.0 - beta) * current[a] + beta * acc
-    return new
+    return (1.0 - beta) * current + beta * weights.mix(delayed)
 
 
 def advance(network, state: NetworkState, steps: StepSizes,

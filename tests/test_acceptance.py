@@ -123,8 +123,8 @@ def _global(network, state):
 
 
 def test_criterion_03_engine_equivalence():
-    """Per-node accumulation and dense matrix arithmetic agree to 1e-12
-    over 100 steps on ten varied instances."""
+    """The engine's neighbour-list updates and dense matrix arithmetic
+    agree to 1e-12 over 100 steps on ten varied instances."""
     for index, kw in enumerate(EQUIVALENCE_INSTANCES):
         spec = ScenarioSpec(seed=40 + index, max_iters=100, **kw)
         network = build_clustered_network(spec)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from cluster_consensus import (
@@ -22,6 +24,7 @@ from cluster_consensus import (
     sample_initial_values,
     stopping_metric,
 )
+from cluster_consensus.engine import follower_step, leader_step
 
 
 def global_state(network, state):
@@ -203,6 +206,117 @@ def test_beta_one_pure_mixing(tiny_spec, tiny_network):
     advance(tiny_network, state, StepSizes(0.5, 1.0))
     v = tiny_network.leader_schedule.matrix_at(0).entries
     assert np.allclose(state.leader_block, v @ before, atol=1e-14)
+
+
+# ---------------------------------------------------------------------
+# vectorised updates against the per-node reference
+# ---------------------------------------------------------------------
+
+def reference_follower_step(network, state, cluster_index, gamma):
+    """Per-node accumulation over the neighbour list, one follower at a time."""
+    cluster = network.clusters[cluster_index]
+    w = cluster.follower_weights.entries
+    if state.intra_delay is not None:
+        block = state.intra_delay.lookup(state.tau_intra)[cluster_index]
+        lead = state.leader_delay.lookup(state.tau_intra)[cluster_index]
+    else:
+        block = state.follower_blocks[cluster_index]
+        lead = state.leader_block[cluster_index]
+    new = np.empty_like(block)
+    for i in range(block.shape[0]):
+        acc = w[i, i] * block[i]
+        for j in cluster.follower_graph.neighbors(i):
+            acc += w[i, j] * block[j]
+        new[i] = (1.0 - gamma) * acc + gamma * lead
+    return new
+
+
+def reference_leader_step(state, beta, weights):
+    """Per-node accumulation over the leader neighbour list."""
+    current = state.leader_block
+    delayed = state.leader_delay.lookup(state.tau)
+    v = weights.entries
+    new = np.empty_like(current)
+    for a in range(current.shape[0]):
+        acc = v[a, a] * delayed[a]
+        for b in weights.support.neighbors(a):
+            acc += v[a, b] * delayed[b]
+        new[a] = (1.0 - beta) * current[a] + beta * acc
+    return new
+
+
+@st.composite
+def connected_edges(draw, node_count):
+    """A random spanning tree plus random extra edges."""
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, node_count)}
+    pairs = [(i, j) for i in range(node_count) for j in range(i + 1, node_count)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    return sorted(edges)
+
+
+@st.composite
+def networks(draw, family, cyclic, d, tau_intra):
+    """A small scenario of the given family, dimension and follower delay
+    and a network for it, with a cyclic leader schedule when asked."""
+    r = draw(st.integers(1, 4))
+    low = 4 if family == "ring" else 2
+    sizes = tuple(draw(st.lists(st.integers(low, 9), min_size=r, max_size=r)))
+    extra = {}
+    if family == "geometric":
+        extra["radius"] = draw(st.sampled_from([0.6, 0.9]))
+    elif family == "explicit":
+        extra["cluster_edges"] = tuple(draw(connected_edges(s - 1)) for s in sizes)
+    spec = ScenarioSpec(
+        family=family, cluster_sizes=sizes,
+        gamma=draw(st.floats(0.05, 0.95)), beta=draw(st.floats(0.05, 1.0)),
+        tau=draw(st.integers(0, 5)), tau_intra=tau_intra, d=d,
+        seed=draw(st.integers(0, 10_000)),
+        max_iters=25, **extra,
+    )
+    network = build_clustered_network(spec)
+    if cyclic:
+        schedule = LeaderSchedule(
+            (metropolis_weights(line_graph(r)),
+             metropolis_weights(line_graph(r) if r < 3 else complete_graph(r)),
+             network.leader_schedule.matrices[0]),
+            mode="cyclic",
+        )
+        network = ClusteredNetwork(network.clusters, schedule, network.total_nodes)
+    return spec, network
+
+
+@pytest.mark.parametrize("tau_intra", [0, 2])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["static", "cyclic"])
+@pytest.mark.parametrize("family", ["ring", "geometric", "explicit"])
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
+    spec, network = data.draw(networks(family, cyclic, d, tau_intra))
+    init = sample_initial_values(spec, network.total_nodes)
+    state = init_state(network, init, spec.tau, spec.tau_intra)
+    sizes = StepSizes(spec.gamma, spec.beta)
+    for _ in range(spec.max_iters):
+        for a in range(network.cluster_count):
+            got = follower_step(network, state, a, spec.gamma)
+            want = reference_follower_step(network, state, a, spec.gamma)
+            assert got.tobytes() == want.tobytes()
+        v_k = network.leader_schedule.matrix_at(state.k)
+        got = leader_step(state, spec.beta, v_k)
+        assert got.tobytes() == reference_leader_step(state, spec.beta, v_k).tobytes()
+        advance(network, state, sizes)
+
+    trace = run(network, spec.replace(record_stride=1))
+    ref = oracle.simulate_dense(network, init, spec.gamma, spec.beta, spec.tau,
+                                spec.tau_intra, steps=spec.max_iters)
+    for k, want in enumerate(ref):
+        blocks, leaders = trace.raw_states[k]
+        got = np.zeros_like(want)
+        for a, cl in enumerate(network.clusters):
+            got[list(cl.follower_ids)] = blocks[a]
+            got[cl.leader_id] = leaders[a]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), f"step {k}"
 
 
 # ---------------------------------------------------------------------

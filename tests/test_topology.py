@@ -24,6 +24,7 @@ from cluster_consensus import (
     spectral_summary,
     validate_weights,
 )
+from cluster_consensus.topology import WeightViolation
 
 # The three-leader line graph under max-degree weights; its spectrum is
 # {1, 2/3, 0} so the deviation norm is exactly 2/3.
@@ -167,6 +168,33 @@ def test_validate_weights_flags_small_diagonal():
     assert any(v.clause == "diagonal" for v in report.violations)
 
 
+def test_validate_weights_reports_violations_in_order():
+    # row and column sums, then off-diagonal pairs i < j row-major with
+    # (i, j) before (j, i), then the diagonal
+    w = np.array([
+        [0.6, 0.1, 0.25, 0.0],
+        [0.5, 0.5, -0.1, 0.0],
+        [0.0, 0.0, 0.4, 0.6],
+        [0.2, 0.0, 0.5, 0.1],
+    ])
+    report = validate_weights(w, line_graph(4), 0.3)
+    assert report.violations == (
+        WeightViolation("row_sum", (0,), 0.95),
+        WeightViolation("row_sum", (1,), 0.9),
+        WeightViolation("row_sum", (3,), 0.7999999999999999),
+        WeightViolation("column_sum", (0,), 1.3),
+        WeightViolation("column_sum", (1,), 0.6),
+        WeightViolation("column_sum", (2,), 1.05),
+        WeightViolation("column_sum", (3,), 0.7),
+        WeightViolation("edge_weight", (0, 1), 0.1),
+        WeightViolation("support", (0, 2), 0.25),
+        WeightViolation("support", (3, 0), 0.2),
+        WeightViolation("support", (1, 2), -0.1),
+        WeightViolation("support", (2, 1), 0.0),
+        WeightViolation("diagonal", (3, 3), 0.1),
+    )
+
+
 def test_validate_weights_shape_mismatch():
     with pytest.raises(ShapeError):
         validate_weights(np.eye(2), line_graph(3), 0.5)
@@ -237,12 +265,21 @@ def test_sigma_matches_dense_reference():
             oracle.deviation_sigma(w.entries), abs=1e-10)
 
 
-def test_sigma_large_matrix_power_iteration():
-    # above the exact-decomposition limit; spectrum chosen so the answer
-    # is exactly one half
+def test_sigma_large_matrix():
+    # spectrum chosen so the answer is exactly one half
     n = 600
     w = 0.5 * np.eye(n) + 0.5 * np.full((n, n), 1.0 / n)
     assert second_largest_singular_value(w) == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [513, 1000])
+def test_sigma_large_ring_is_exact(n):
+    # circulant eigenvalues: 1/3 + (2/3) cos(2 pi k / n)
+    w = metropolis_weights(ring_graph(n))
+    sigma = second_largest_singular_value(w)
+    assert sigma == pytest.approx(1 / 3 + (2 / 3) * np.cos(2 * np.pi / n),
+                                  abs=1e-12)
+    assert sigma == pytest.approx(oracle.deviation_sigma(w.entries), abs=1e-12)
 
 
 def test_sigma_rejects_nonsquare():

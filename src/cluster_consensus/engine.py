@@ -1,10 +1,13 @@
-"""Protocol execution: vectorised updates, delay buffers, and run drivers.
+"""Protocol execution: vectorised updates over state history rings, and
+the run driver.
 
 One iteration is one synchronous sweep: every follower mixes with its
 neighbours at step size gamma and tracks its own leader; every leader mixes
 with the other leaders at step size beta, reading their states through a
 uniform delay of tau iterations.  All reads use pre-step values.  States are
-d-dimensional row vectors stacked into per-cluster blocks.
+d-dimensional row vectors: all followers in one array stacked cluster by
+cluster, all leaders in another, each kept in a ring of recent iterations
+deep enough for the delays that read it.
 
 Both updates apply their mixing matrix through `WeightMatrix.mix`, which
 sums each row over a padded neighbour table in neighbour-list order, so
@@ -15,12 +18,13 @@ dense matrix-form evaluation of the same equations.
 
 from __future__ import annotations
 
-from collections import deque
+import copy
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, diagnostics
+from .analysis import diagnostics
 from .errors import DomainError, NumericError, ShapeError
 
 
@@ -38,82 +42,77 @@ class StepSizes:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-class DelayBuffer:
-    """Ring of the last delay+1 snapshots of some quantity.
-
-    lookup(t) returns the snapshot from t steps ago; at the start the ring
-    is filled with the initial snapshot, which realises the convention that
-    states before iteration 0 equal the initial values.  With delay 0 the
-    ring holds exactly one snapshot, the current one.
-    """
-
-    def __init__(self, delay: int, initial):
-        if delay < 0:
-            raise DomainError(f"delay must be non-negative, got {delay}")
-        self._delay = int(delay)
-        self._ring = deque([initial] * (self._delay + 1), maxlen=self._delay + 1)
-
-    @property
-    def delay(self) -> int:
-        return self._delay
-
-    def lookup(self, offset: int):
-        if not (0 <= offset <= self._delay):
-            raise DomainError(
-                f"lookup offset {offset} outside [0, {self._delay}]"
-            )
-        return self._ring[-1 - offset]
-
-    def push(self, snapshot):
-        self._ring.append(snapshot)
-
-
 class NetworkState:
-    """Mutable simulation state at some iteration k.
+    """Mutable simulation state at some iteration k, with its history.
 
-    follower_blocks[a] is the (n_a, d) block of cluster a's followers,
-    leader_block the (r, d) stack of leader states.  leader_delay keeps
-    enough leader history to serve both the leader update (offset tau) and,
-    when tau_intra > 0, the follower update's leader term (offset
-    tau_intra); intra_delay keeps follower-block history and exists only
-    when tau_intra > 0.  p_max is the largest initial per-node norm; the
-    protocol keeps every node inside that ball.
+    Two rings hold the history, each indexed modulo its depth so that slot
+    k % depth holds iteration k: the followers, shape (tau_intra + 1, N_f, d)
+    with the rows of cluster a at rows[a], and the leaders, shape
+    (max(tau, tau_intra) + 1, r, d).  Every slot starts at the initial
+    values, which realises the convention that states before iteration 0
+    equal the initial values.  followers_at(t) and leaders_at(t) read the
+    states of t iterations ago; follower_blocks and leader_block read the
+    current ones.  All four return views into the rings, which later
+    iterations overwrite, so a caller copies what it keeps.  p_max is the
+    largest initial per-node norm; the protocol keeps every node inside
+    that ball.
     """
 
-    def __init__(self, follower_blocks, leader_block, tau, tau_intra, p_max):
-        self.follower_blocks = list(follower_blocks)
-        self.leader_block = leader_block
+    def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra, p_max):
         self.tau = int(tau)
         self.tau_intra = int(tau_intra)
         self.k = 0
         self.p_max = float(p_max)
-        self.leader_delay = DelayBuffer(max(self.tau, self.tau_intra), leader_block)
-        self.intra_delay = (
-            DelayBuffer(self.tau_intra, tuple(self.follower_blocks))
-            if self.tau_intra > 0 else None
-        )
+        stops = np.cumsum(cluster_sizes).tolist()
+        self.rows = tuple(slice(a, b) for a, b in zip([0] + stops, stops))
+        self._followers = np.repeat(followers[None], self.tau_intra + 1, axis=0)
+        self._leaders = np.repeat(leaders[None], max(self.tau, self.tau_intra) + 1,
+                                  axis=0)
 
     @property
     def cluster_count(self) -> int:
-        return len(self.follower_blocks)
+        return len(self.rows)
 
     @property
     def dimension(self) -> int:
-        return self.leader_block.shape[1]
+        return self._leaders.shape[2]
+
+    def _at(self, ring, offset):
+        if not (0 <= offset < len(ring)):
+            raise DomainError(
+                f"history offset {offset} outside [0, {len(ring) - 1}]"
+            )
+        return ring[(self.k - offset) % len(ring)]
+
+    def followers_at(self, offset: int) -> np.ndarray:
+        """(N_f, d) view of all followers, offset iterations ago."""
+        return self._at(self._followers, offset)
+
+    def leaders_at(self, offset: int) -> np.ndarray:
+        """(r, d) view of all leaders, offset iterations ago."""
+        return self._at(self._leaders, offset)
+
+    @property
+    def follower_blocks(self) -> list:
+        """Per-cluster (n_a, d) views of the current followers."""
+        current = self.followers_at(0)
+        return [current[rows] for rows in self.rows]
+
+    @property
+    def leader_block(self) -> np.ndarray:
+        """(r, d) view of the current leaders."""
+        return self.leaders_at(0)
+
+    def push(self, followers: np.ndarray, leaders: np.ndarray):
+        """Store the states of iteration k + 1 and move to it."""
+        self.k += 1
+        self._followers[self.k % len(self._followers)] = followers
+        self._leaders[self.k % len(self._leaders)] = leaders
 
     def copy(self) -> "NetworkState":
-        other = NetworkState(
-            [b.copy() for b in self.follower_blocks],
-            self.leader_block.copy(),
-            self.tau, self.tau_intra, self.p_max,
-        )
-        other.k = self.k
-        # replay the delay rings
-        for t in range(max(self.tau, self.tau_intra), -1, -1):
-            other.leader_delay.push(self.leader_delay.lookup(t))
-        if self.intra_delay is not None:
-            for t in range(self.tau_intra, -1, -1):
-                other.intra_delay.push(self.intra_delay.lookup(t))
+        other = copy.copy(self)
+        other._followers = self._followers.copy()
+        other._leaders = self._leaders.copy()
         return other
 
 
@@ -150,7 +149,7 @@ def sample_initial_values(spec, total_nodes: int) -> np.ndarray:
 
 
 def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> NetworkState:
-    """Distribute per-node initial values into blocks and prime the buffers."""
+    """Distribute per-node initial values into the rings."""
     vals = np.asarray(initial_values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -161,12 +160,16 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
         )
     if not np.all(np.isfinite(vals)):
         raise NumericError("initial values contain non-finite entries")
-    if tau < 0 or tau_intra < 0:
-        raise DomainError("delays must be non-negative")
-    blocks = [vals[list(c.follower_ids)].copy() for c in network.clusters]
-    leaders = np.stack([vals[c.leader_id] for c in network.clusters])
+    for name, delay in (("tau", tau), ("tau_intra", tau_intra)):
+        if not (isinstance(delay, Integral) and delay >= 0):
+            raise DomainError(f"{name} must be a non-negative integer, got {delay!r}")
+    followers = vals[[i for c in network.clusters for i in c.follower_ids]]
+    leaders = vals[[c.leader_id for c in network.clusters]]
     p_max = float(np.linalg.norm(vals, axis=1).max())
-    return NetworkState(blocks, leaders, tau, tau_intra, p_max)
+    return NetworkState(
+        followers, leaders, [len(c.follower_ids) for c in network.clusters],
+        tau, tau_intra, p_max,
+    )
 
 
 # ---------------------------------------------------------------------
@@ -178,16 +181,12 @@ def follower_step(network, state: NetworkState, cluster_index: int,
     """New follower block for one cluster; does not modify the state.
 
     Each follower keeps (1 - gamma) of its neighbourhood average and moves
-    gamma towards its leader.  With tau_intra > 0 both reads use the values
-    from tau_intra iterations ago.
+    gamma towards its leader.  Both reads use the values from tau_intra
+    iterations ago.
     """
     weights = network.clusters[cluster_index].follower_weights
-    if state.intra_delay is not None:
-        block = state.intra_delay.lookup(state.tau_intra)[cluster_index]
-        lead = state.leader_delay.lookup(state.tau_intra)[cluster_index]
-    else:
-        block = state.follower_blocks[cluster_index]
-        lead = state.leader_block[cluster_index]
+    block = state.followers_at(state.tau_intra)[state.rows[cluster_index]]
+    lead = state.leaders_at(state.tau_intra)[cluster_index]
     return (1.0 - gamma) * weights.mix(block) + gamma * lead
 
 
@@ -198,32 +197,23 @@ def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
     delayed through the mixing matrix diagonal.
     """
     current = state.leader_block
-    delayed = state.leader_delay.lookup(state.tau)
+    delayed = state.leaders_at(state.tau)
     return (1.0 - beta) * current + beta * weights.mix(delayed)
 
 
-def advance(network, state: NetworkState, steps: StepSizes,
-            schedule=None) -> NetworkState:
+def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
     """One synchronous sweep: all blocks update from pre-step values."""
-    if schedule is None:
-        schedule = network.leader_schedule
-    v_k = schedule.matrix_at(state.k)
-    new_blocks = [
-        follower_step(network, state, a, steps.gamma)
-        for a in range(state.cluster_count)
-    ]
+    v_k = network.leader_schedule.matrix_at(state.k)
+    new_followers = np.empty_like(state.followers_at(0))
+    for a, rows in enumerate(state.rows):
+        new_followers[rows] = follower_step(network, state, a, steps.gamma)
     new_leaders = leader_step(state, steps.beta, v_k)
-    state.follower_blocks = new_blocks
-    state.leader_block = new_leaders
-    state.leader_delay.push(new_leaders)
-    if state.intra_delay is not None:
-        state.intra_delay.push(tuple(new_blocks))
-    state.k += 1
+    state.push(new_followers, new_leaders)
     return state
 
 
 # ---------------------------------------------------------------------
-# run drivers
+# run driver
 # ---------------------------------------------------------------------
 
 def _snapshot(trace, state, stride):
@@ -234,50 +224,10 @@ def _snapshot(trace, state, stride):
         )
 
 
-def run(network, spec) -> Trace:
-    """Execute spec.max_iters sweeps and record diagnostics every iteration."""
-    state = init_state(
-        network, sample_initial_values(spec, network.total_nodes),
-        spec.tau, spec.tau_intra,
-    )
-    steps = StepSizes(spec.gamma, spec.beta)
-    trace = Trace(
-        fingerprint=spec.fingerprint(),
-        raw_states={} if spec.record_stride > 0 else None,
-    )
-    trace.records.append(diagnostics(state))
-    _snapshot(trace, state, spec.record_stride)
-    for _ in range(spec.max_iters):
-        advance(network, state, steps)
-        trace.records.append(diagnostics(state))
-        _snapshot(trace, state, spec.record_stride)
-    return trace
-
-
-def stopping_metric(state: NetworkState) -> float:
-    """Largest distance from any follower to its own leader."""
-    return max(
-        float(np.linalg.norm(block - state.leader_block[a], axis=1).max())
-        for a, block in enumerate(state.follower_blocks)
-    )
-
-
-def run_until(network, spec, threshold: float | None = None) -> RunResult:
-    """Run until every follower stays within `threshold` of its leader.
-
-    Reports the first iteration from which the stopping metric remains at or
-    below the threshold for a full confirmation window of
-    max(tau, tau_intra) + 1 consecutive iterations.  The window guards
-    against transient dips: with large delays the leaders stall while their
-    delayed inputs still carry old values, followers briefly catch up, and
-    the metric can touch the threshold long before the network settles.
-    Cap exhaustion (no confirmed crossing within spec.max_iters sweeps) is
-    reported through converged=False, not as an error.
-    """
-    if threshold is None:
-        threshold = spec.threshold
-    if threshold <= 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+def _drive(network, spec, until: bool) -> RunResult:
+    """Record diagnostics at every iteration from 0 and sweep until
+    spec.max_iters; with `until`, stop at a confirmed settling iteration
+    (see run_until)."""
     state = init_state(
         network, sample_initial_values(spec, network.total_nodes),
         spec.tau, spec.tau_intra,
@@ -289,18 +239,46 @@ def run_until(network, spec, threshold: float | None = None) -> RunResult:
         raw_states={} if spec.record_stride > 0 else None,
     )
     candidate = None
-    k = 0
     while True:
         trace.records.append(diagnostics(state))
         _snapshot(trace, state, spec.record_stride)
-        if stopping_metric(state) <= threshold:
-            if candidate is None:
-                candidate = k
-            if k - candidate + 1 >= window:
-                return RunResult(True, candidate, trace)
-        else:
-            candidate = None
-        if k >= spec.max_iters:
+        if until:
+            if stopping_metric(state) <= spec.threshold:
+                if candidate is None:
+                    candidate = state.k
+                if state.k - candidate + 1 >= window:
+                    return RunResult(True, candidate, trace)
+            else:
+                candidate = None
+        if state.k >= spec.max_iters:
             return RunResult(False, spec.max_iters, trace)
         advance(network, state, steps)
-        k += 1
+
+
+def run(network, spec) -> Trace:
+    """Execute spec.max_iters sweeps and record diagnostics every iteration."""
+    return _drive(network, spec, until=False).trace
+
+
+def stopping_metric(state: NetworkState) -> float:
+    """Largest distance from any follower to its own leader."""
+    leaders = state.leader_block
+    return max(
+        float(np.linalg.norm(block - leaders[a], axis=1).max())
+        for a, block in enumerate(state.follower_blocks)
+    )
+
+
+def run_until(network, spec) -> RunResult:
+    """Run until every follower stays within spec.threshold of its leader.
+
+    Reports the first iteration from which the stopping metric remains at or
+    below the threshold for a full confirmation window of
+    max(tau, tau_intra) + 1 consecutive iterations.  The window guards
+    against transient dips: with large delays the leaders stall while their
+    delayed inputs still carry old values, followers briefly catch up, and
+    the metric can touch the threshold long before the network settles.
+    Cap exhaustion (no confirmed crossing within spec.max_iters sweeps) is
+    reported through converged=False, not as an error.
+    """
+    return _drive(network, spec, until=True)

@@ -1,9 +1,9 @@
 """Reference implementations used to cross-check the package.
 
-Everything here is written in dense matrix form with a plain clamped-index
-history list, deliberately unlike the per-node accumulation loops and ring
-buffers in the engine.  Agreement between the two routes is the evidence
-the tests lean on.
+Everything here is written as dense matrix products with a plain
+clamped-index history list of whole-network states, deliberately unlike the
+engine's padded neighbour-table sums and modular history rings.
+Agreement between the two routes is the evidence the tests lean on.
 """
 
 import numpy as np

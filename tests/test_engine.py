@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracle
 from cluster_consensus import (
     ClusteredNetwork,
-    DelayBuffer,
     DomainError,
     LeaderSchedule,
     NumericError,
@@ -49,38 +48,30 @@ def trajectory(network, spec, steps):
 
 
 # ---------------------------------------------------------------------
-# delay buffers and parameter guards
+# history rings and parameter guards
 # ---------------------------------------------------------------------
 
-def test_delay_buffer_prefilled():
-    buf = DelayBuffer(3, "p")
-    assert buf.delay == 3
-    assert all(buf.lookup(t) == "p" for t in range(4))
-
-
-def test_delay_buffer_shifts():
-    buf = DelayBuffer(2, 0)
-    buf.push(1)
-    buf.push(2)
-    assert (buf.lookup(0), buf.lookup(1), buf.lookup(2)) == (2, 1, 0)
-    buf.push(3)
-    assert (buf.lookup(0), buf.lookup(1), buf.lookup(2)) == (3, 2, 1)
-
-
-def test_delay_buffer_zero_delay_holds_current():
-    buf = DelayBuffer(0, "init")
-    buf.push("now")
-    assert buf.lookup(0) == "now"
-
-
-def test_delay_buffer_rejects_bad_offsets():
-    buf = DelayBuffer(2, 0)
+@pytest.mark.parametrize("tau,tau_intra", [(0, 0), (3, 0), (2, 5), (7, 3)])
+def test_history_rings(tiny_spec, tiny_network, tau, tau_intra):
+    init = sample_initial_values(tiny_spec.replace(d=2), 12)
+    state = init_state(tiny_network, init, tau, tau_intra)
+    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    depth = max(tau, tau_intra) + 1
+    seen = []
+    for k in range(3 * depth + 2):
+        assert state.k == k
+        seen.append((state.followers_at(0).copy(), state.leader_block.copy()))
+        for t in range(depth):
+            past = seen[max(k - t, 0)]
+            assert state.leaders_at(t).tobytes() == past[1].tobytes()
+            if t <= tau_intra:
+                assert state.followers_at(t).tobytes() == past[0].tobytes()
+        advance(tiny_network, state, sizes)
+    for offset in (-1, depth):
+        with pytest.raises(DomainError):
+            state.leaders_at(offset)
     with pytest.raises(DomainError):
-        buf.lookup(3)
-    with pytest.raises(DomainError):
-        buf.lookup(-1)
-    with pytest.raises(DomainError):
-        DelayBuffer(-1, 0)
+        state.followers_at(tau_intra + 1)
 
 
 @pytest.mark.parametrize("gamma,beta", [
@@ -106,6 +97,8 @@ def test_init_state_promotes_vector(tiny_network):
     assert state.dimension == 1
     assert state.leader_block[0, 0] == 0.0
     assert state.follower_blocks[0][:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert state.followers_at(0)[:, 0].tolist() == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+    assert state.leaders_at(0)[:, 0].tolist() == [0, 4, 8]
 
 
 def test_init_state_p_max(tiny_network):
@@ -130,6 +123,20 @@ def test_init_state_nonfinite(tiny_network):
 def test_init_state_negative_delay(tiny_network):
     with pytest.raises(DomainError):
         init_state(tiny_network, np.zeros((12, 1)), tau=-1)
+    with pytest.raises(DomainError):
+        init_state(tiny_network, np.zeros((12, 1)), tau=0, tau_intra=-1)
+
+
+@pytest.mark.parametrize("tau,tau_intra", [(2.5, 0), (2, 0.7), (2.0, 0), (0, 1.0)])
+def test_init_state_fractional_delay(tiny_network, tau, tau_intra):
+    with pytest.raises(DomainError):
+        init_state(tiny_network, np.zeros((12, 1)), tau=tau, tau_intra=tau_intra)
+
+
+def test_init_state_numpy_integer_delay(tiny_network):
+    state = init_state(tiny_network, np.zeros((12, 1)), tau=np.int64(2),
+                       tau_intra=np.int32(1))
+    assert (state.tau, state.tau_intra) == (2, 1)
 
 
 def test_sample_initial_values_deterministic(tiny_spec):
@@ -186,18 +193,6 @@ def test_engine_matches_reference_with_cyclic_schedule(tiny_spec):
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_advance_schedule_override(tiny_spec, tiny_network):
-    init = sample_initial_values(tiny_spec, 12)
-    a = init_state(tiny_network, init.copy(), tiny_spec.tau)
-    b = init_state(tiny_network, init.copy(), tiny_spec.tau)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
-    override = LeaderSchedule((metropolis_weights(complete_graph(3)),))
-    for _ in range(5):
-        advance(tiny_network, a, sizes)
-        advance(tiny_network, b, sizes, schedule=override)
-    assert not np.allclose(a.leader_block, b.leader_block)
-
-
 def test_beta_one_pure_mixing(tiny_spec, tiny_network):
     # with beta = 1 and tau = 0 the leaders apply the mixing matrix directly
     init = sample_initial_values(tiny_spec, 12)
@@ -216,12 +211,8 @@ def reference_follower_step(network, state, cluster_index, gamma):
     """Per-node accumulation over the neighbour list, one follower at a time."""
     cluster = network.clusters[cluster_index]
     w = cluster.follower_weights.entries
-    if state.intra_delay is not None:
-        block = state.intra_delay.lookup(state.tau_intra)[cluster_index]
-        lead = state.leader_delay.lookup(state.tau_intra)[cluster_index]
-    else:
-        block = state.follower_blocks[cluster_index]
-        lead = state.leader_block[cluster_index]
+    block = state.followers_at(state.tau_intra)[state.rows[cluster_index]]
+    lead = state.leaders_at(state.tau_intra)[cluster_index]
     new = np.empty_like(block)
     for i in range(block.shape[0]):
         acc = w[i, i] * block[i]
@@ -234,7 +225,7 @@ def reference_follower_step(network, state, cluster_index, gamma):
 def reference_leader_step(state, beta, weights):
     """Per-node accumulation over the leader neighbour list."""
     current = state.leader_block
-    delayed = state.leader_delay.lookup(state.tau)
+    delayed = state.leaders_at(state.tau)
     v = weights.entries
     new = np.empty_like(current)
     for a in range(current.shape[0]):
@@ -473,14 +464,9 @@ def test_run_until_immediate_settle(tiny_network):
 
 
 def test_run_until_threshold_override(tiny_spec, tiny_network):
-    loose = run_until(tiny_network, tiny_spec, threshold=1.0)
-    tight = run_until(tiny_network, tiny_spec, threshold=1e-6)
+    loose = run_until(tiny_network, tiny_spec.replace(threshold=1.0))
+    tight = run_until(tiny_network, tiny_spec.replace(threshold=1e-6))
     assert loose.iterations < tight.iterations
-
-
-def test_run_until_rejects_bad_threshold(tiny_spec, tiny_network):
-    with pytest.raises(DomainError):
-        run_until(tiny_network, tiny_spec, threshold=0.0)
 
 
 def test_run_until_prefix_of_run(tiny_spec, tiny_network):
@@ -492,18 +478,37 @@ def test_run_until_prefix_of_run(tiny_spec, tiny_network):
 
 def test_state_copy_is_independent(tiny_spec, tiny_network):
     init = sample_initial_values(tiny_spec, 12)
-    state = init_state(tiny_network, init, tiny_spec.tau, tiny_spec.tau_intra)
     sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
-    for _ in range(5):
+    for tau_intra in (0, 2):
+        state = init_state(tiny_network, init, tiny_spec.tau, tau_intra)
+        for _ in range(5):
+            advance(tiny_network, state, sizes)
+        frozen = state.copy()
+        mark = frozen.leader_block.copy()
+        for t in range(max(frozen.tau, tau_intra) + 1):
+            assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
+        for t in range(tau_intra + 1):
+            assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
         advance(tiny_network, state, sizes)
-    frozen = state.copy()
-    mark = frozen.leader_block.copy()
-    for t in range(frozen.tau + 1):
-        assert np.array_equal(frozen.leader_delay.lookup(t),
-                              state.leader_delay.lookup(t))
-    advance(tiny_network, state, sizes)
-    assert np.array_equal(frozen.leader_block, mark)
-    assert frozen.k == 5 and state.k == 6
-    # the copy continues exactly like the original would have
-    advance(tiny_network, frozen, sizes)
-    assert np.allclose(frozen.leader_block, state.leader_block, atol=0)
+        assert np.array_equal(frozen.leader_block, mark)
+        assert frozen.k == 5 and state.k == 6
+        # the copy continues exactly like the original would have
+        advance(tiny_network, frozen, sizes)
+        for t in range(max(frozen.tau, tau_intra) + 1):
+            assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
+        for t in range(tau_intra + 1):
+            assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
+
+
+# ---------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------
+
+def test_all_exports_resolve():
+    import cluster_consensus
+
+    for name in cluster_consensus.__all__:
+        assert hasattr(cluster_consensus, name), name
+    namespace = {}
+    exec("from cluster_consensus import *", namespace)
+    assert set(cluster_consensus.__all__) <= set(namespace)

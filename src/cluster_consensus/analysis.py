@@ -15,6 +15,10 @@ with eta = 1 - beta + delta_c * beta / (1 - beta)^tau.  The leader envelope
 contracts exactly when beta < beta_max = 1 - delta_c^(1/tau); at beta_max
 the rate eta equals one.  Matrix norms are Frobenius, vector norms
 Euclidean.
+
+The envelopes are evaluated for all recorded iterations at once.  A
+verification report keeps one summary per family plus only the comparisons
+that failed.
 """
 
 from __future__ import annotations
@@ -201,6 +205,31 @@ class BoundValues:
     node: tuple | None
 
 
+def _envelopes(params: BoundParams, ks) -> tuple:
+    """Every applicable envelope at each iteration of `ks`.
+
+    Returns (follower, leader, gap, node): arrays of shape (K, r), (K,),
+    (K, r) and (K, r), None for a family whose hypotheses the run violates.
+    Powers are Python's float ** int, which np.power does not always match
+    to the last bit.
+    """
+    r = len(params.sigma_per_cluster)
+    follower = leader = gap = node = None
+    if params.follower_applicable:
+        rates = [(1.0 - params.gamma) * s for s in params.sigma_per_cluster]
+        powers = np.array([[q ** k for q in rates] for k in ks], float)
+        follower = powers.reshape(len(ks), r) * np.array(params.follower_init_norms)
+        decay = np.array([(1.0 - params.gamma) ** k for k in ks], float)
+        residual = 2.0 * params.p_max * params.beta / params.gamma
+        gap = decay[:, None] * np.array(params.initial_gaps) + residual
+    if params.leader_applicable:
+        leader = (2.0 * np.array([params.eta ** k for k in ks], float)
+                  * params.leader_init_norm)
+    if follower is not None and leader is not None:
+        node = follower + leader[:, None] + gap
+    return follower, leader, gap, node
+
+
 def theoretical_bounds(params: BoundParams, k: int) -> BoundValues:
     """Evaluate every applicable envelope at iteration k.
 
@@ -210,37 +239,14 @@ def theoretical_bounds(params: BoundParams, k: int) -> BoundValues:
     """
     if not (isinstance(k, Integral) and k >= 0):
         raise DomainError(f"iteration must be a non-negative integer, got {k!r}")
-    follower = leader = gap = node = None
-    if params.follower_applicable:
-        follower = tuple(
-            ((1.0 - params.gamma) * s) ** k * n0
-            for s, n0 in zip(params.sigma_per_cluster, params.follower_init_norms)
-        )
-        residual = 2.0 * params.p_max * params.beta / params.gamma
-        gap = tuple(
-            (1.0 - params.gamma) ** k * g0 + residual
-            for g0 in params.initial_gaps
-        )
-    if params.leader_applicable:
-        leader = 2.0 * params.eta ** k * params.leader_init_norm
-    if follower is not None and leader is not None:
-        node = tuple(f + leader + g for f, g in zip(follower, gap))
-    return BoundValues(int(k), follower, leader, gap, node)
+    values = (None if v is None else v[0].tolist() for v in _envelopes(params, [k]))
+    return BoundValues(int(k), *(tuple(v) if isinstance(v, list) else v
+                                 for v in values))
 
 
 # ---------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundCheck:
-    k: int
-    family: str
-    cluster: int | None
-    empirical: float
-    theoretical: float
-    satisfied: bool
-
 
 @dataclass(frozen=True)
 class FamilySummary:
@@ -257,9 +263,12 @@ class FamilySummary:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Per-family summaries plus the comparisons that failed, ordered by
+    record, then family (follower, gap, leader, node), then cluster."""
+
     fingerprint: str
     slack: float
-    checks: tuple
+    violations: tuple
     families: dict
 
     @property
@@ -281,80 +290,63 @@ class BoundReport:
                 }
                 for name, f in self.families.items()
             },
-            "checked": len(self.checks),
-            "violations": [
-                {
-                    "k": c.k,
-                    "family": c.family,
-                    "cluster": c.cluster,
-                    "empirical": c.empirical,
-                    "theoretical": c.theoretical,
-                }
-                for c in self.checks
-                if not c.satisfied
-            ],
+            "checked": sum(f.checked for f in self.families.values()),
+            "violations": [dict(v) for v in self.violations],
         }
+
+
+# order of the families within one record of the violation list
+_VIOLATION_ORDER = ("follower_disagreement", "leader_follower_gap",
+                    "leader_disagreement", "node_error")
 
 
 def verify_bounds(trace, params: BoundParams,
                   slack: float = VERIFY_SLACK) -> BoundReport:
     """Compare every recorded iteration against the closed-form envelopes.
 
-    A check is satisfied when empirical <= theoretical + slack.  The trace
-    and the parameters must fingerprint the same configuration; a mismatch
-    raises ConsistencyError rather than producing a nonsense verdict.
+    A comparison holds when empirical <= theoretical + slack, so a NaN
+    fails.  The trace and the parameters must fingerprint the same
+    configuration; a mismatch raises ConsistencyError rather than producing
+    a nonsense verdict.
     """
     if trace.fingerprint != params.fingerprint:
         raise ConsistencyError(
             f"trace fingerprint {trace.fingerprint[:12]}... does not match "
             f"bound parameters {params.fingerprint[:12]}..."
         )
-    checks = []
-    stats = {name: [0, 0, None, None] for name in BOUND_FAMILIES}
-
-    def add(family, k, cluster, emp, theo):
-        ok = emp <= theo + slack
-        margin = emp - theo
-        s = stats[family]
-        s[0] += 1
-        if not ok:
-            s[1] += 1
-            if s[3] is None:
-                s[3] = k
-        if s[2] is None or margin > s[2]:
-            s[2] = margin
-        checks.append(BoundCheck(k, family, cluster, float(emp), float(theo), ok))
-
-    for rec in trace.records:
-        values = theoretical_bounds(params, rec.k)
-        if values.follower is not None:
-            for a, theo in enumerate(values.follower):
-                add("follower_disagreement", rec.k, a,
-                    rec.follower_disagreement[a], theo)
-            for a, theo in enumerate(values.gap):
-                add("leader_follower_gap", rec.k, a,
-                    rec.leader_follower_gap[a], theo)
-        if values.leader is not None:
-            add("leader_disagreement", rec.k, None,
-                rec.leader_disagreement, values.leader)
-        if values.node is not None:
-            for a, theo in enumerate(values.node):
-                add("node_error", rec.k, a, rec.cluster_node_error[a], theo)
-
-    applicability = {
-        "follower_disagreement": params.follower_applicable,
-        "leader_disagreement": params.leader_applicable,
-        "leader_follower_gap": params.follower_applicable,
-        "node_error": params.follower_applicable and params.leader_applicable,
+    records = trace.records
+    ks = [rec.k for rec in records]
+    follower, leader, gap, node = _envelopes(params, ks)
+    columns = {
+        "follower_disagreement": (follower, [r.follower_disagreement for r in records]),
+        "leader_disagreement": (leader, [r.leader_disagreement for r in records]),
+        "leader_follower_gap": (gap, [r.leader_follower_gap for r in records]),
+        "node_error": (node, [r.cluster_node_error for r in records]),
     }
-    families = {
-        name: FamilySummary(
-            applicable=applicability[name],
-            checked=stats[name][0],
-            failures=stats[name][1],
-            worst_margin=stats[name][2],
-            first_violation_k=stats[name][3],
+    families = {}
+    failing = []
+    for name in BOUND_FAMILIES:
+        theo, emp = columns[name]
+        if theo is None:
+            families[name] = FamilySummary(False, 0, 0, None, None)
+            continue
+        emp = np.array(emp, float).reshape(theo.shape)
+        bad = ~(emp <= theo + slack)
+        rows, clusters = np.nonzero(bad if bad.ndim == 2 else bad[:, None])
+        families[name] = FamilySummary(
+            applicable=True,
+            checked=emp.size,
+            failures=len(rows),
+            worst_margin=float((emp - theo).max()) if emp.size else None,
+            first_violation_k=ks[rows[0]] if len(rows) else None,
         )
-        for name in BOUND_FAMILIES
-    }
-    return BoundReport(trace.fingerprint, slack, tuple(checks), families)
+        rank = _VIOLATION_ORDER.index(name)
+        for i, a, e, t in zip(rows.tolist(), clusters.tolist(),
+                              emp[bad].tolist(), theo[bad].tolist()):
+            failing.append(((i, rank, a), {
+                "k": ks[i], "family": name, "cluster": a if theo.ndim == 2 else None,
+                "empirical": e, "theoretical": t,
+            }))
+    failing.sort(key=lambda item: item[0])
+    violations = tuple(v for _, v in failing)
+    return BoundReport(trace.fingerprint, slack, violations, families)

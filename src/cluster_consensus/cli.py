@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .analysis import BoundParams, bound_params, eta, theoretical_bounds, verify_bounds
+from .analysis import BoundParams, _envelopes, bound_params, eta, verify_bounds
 from .engine import RunResult, Trace, run_until
 from .errors import (
     ConfigError,
@@ -106,25 +106,26 @@ def write_trace(trace: Trace, path, params: BoundParams | None = None):
     """
     if not trace.records:
         raise ConsensusError("refusing to write an empty trace")
+    count = len(trace.records)
     r = len(trace.records[0].follower_disagreement)
+    bounds = [[]] * count
+    if params is not None:
+        envelopes = _envelopes(params, [rec.k for rec in trace.records])
+        columns = [  # L1, L2, L3 and T1, formatted family by family
+            [["NA"] * width] * count if values is None
+            else [[_fmt(v) for v in row]
+                  for row in values.reshape(count, width).tolist()]
+            for values, width in zip(envelopes, (r, 1, r, r))
+        ]
+        bounds = [sum(cells, []) for cells in zip(*columns)]
     lines = [",".join(trace_header(r, params is not None))]
-    for rec in trace.records:
+    for rec, extra in zip(trace.records, bounds):
         row = ([str(rec.k)]
                + [_fmt(v) for v in rec.follower_disagreement]
                + [_fmt(rec.leader_disagreement)]
                + [_fmt(v) for v in rec.leader_follower_gap]
-               + [_fmt(rec.global_error)])
-        if params is not None:
-            values = theoretical_bounds(params, rec.k)
-            def cells(vals, n):
-                if vals is None:
-                    return ["NA"] * n
-                vals = vals if isinstance(vals, tuple) else (vals,)
-                return [_fmt(v) for v in vals]
-            row += cells(values.follower, r)
-            row += cells(values.leader, 1)
-            row += cells(values.gap, r)
-            row += cells(values.node, r)
+               + [_fmt(rec.global_error)]
+               + extra)
         lines.append(",".join(row))
     _write_text(path, "\n".join(lines) + "\n")
 

@@ -3,8 +3,9 @@
 The small preset is a 60-node network: three clusters of 20, followers on a
 ring, leaders chained on a line graph, gamma = 0.5, beta = 0.1, delay 10.
 The large preset scales to 400 nodes: five random-geometric clusters of 80
-(radius 0.3), delay 20, beta = 0.05.  All studies reuse one seed across
-rows so that differences between rows come from the swept parameter alone.
+(radius 0.3), delay 20, beta = 0.05.  All studies reuse one seed and one
+network across rows so that differences between rows come from the swept
+parameter alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import bound_params, theoretical_bounds
+from .analysis import bound_params, verify_bounds
 from .engine import run, run_until
 from .errors import DomainError
 from .scenario import ScenarioSpec
@@ -88,12 +89,6 @@ def _linear_fit(xs, ys) -> LinearFit | None:
     return LinearFit(float(slope), float(intercept), r2)
 
 
-def _admissible(spec) -> tuple:
-    network = build_clustered_network(spec)
-    summary = spectral_summary(network, spec.tau)
-    return network, summary, 0.0 < spec.beta < summary.beta_max
-
-
 def tau_sweep(base: ScenarioSpec, taus, fit: bool = True) -> SweepResult:
     """Iterations-to-threshold as a function of the inter-leader delay.
 
@@ -101,16 +96,17 @@ def tau_sweep(base: ScenarioSpec, taus, fit: bool = True) -> SweepResult:
     shrinks with the delay); inadmissible rows are flagged but still run.
     Capped rows carry iterations = max_iters and are excluded from the fit.
     """
+    network = build_clustered_network(base)
     rows = []
     for tau in sorted(int(t) for t in taus):
         spec = base.replace(tau=tau)
-        network, summary, admissible = _admissible(spec)
+        summary = spectral_summary(network, tau)
         result = run_until(network, spec)
         rows.append({
             "tau": tau,
             "converged": result.converged,
             "iterations": result.iterations,
-            "admissible": admissible,
+            "admissible": 0.0 < spec.beta < summary.beta_max,
             "beta_max": summary.beta_max,
         })
     line = None
@@ -132,34 +128,25 @@ def rate_study(base: ScenarioSpec, betas) -> SweepResult:
     if base.tau_intra != 0:
         raise DomainError("rate study checks the gap envelope, which requires "
                           "tau_intra = 0")
+    network = build_clustered_network(base)
     rows = []
     for beta in sorted(float(b) for b in betas):
         if not (0.0 < beta < 1.0):
             raise DomainError(f"rate study needs beta in (0, 1), got {beta}")
         gamma = beta ** (1.0 / 3.0)
         spec = base.replace(beta=beta, gamma=gamma)
-        network, summary, admissible = _admissible(spec)
         trace = run(network, spec)
         params = bound_params(network, spec)
-        residual = 2.0 * params.p_max * beta ** (2.0 / 3.0)
-        sup_gap = 0.0
-        bound_ok = True
-        for rec in trace.records:
-            worst = max(rec.leader_follower_gap)
-            if worst > sup_gap:
-                sup_gap = worst
-            envelope = theoretical_bounds(params, rec.k).gap
-            if any(g > e + 1e-9 for g, e in
-                   zip(rec.leader_follower_gap, envelope)):
-                bound_ok = False
+        report = verify_bounds(trace, params)
+        gaps = np.array([rec.leader_follower_gap for rec in trace.records])
         rows.append({
             "beta": beta,
             "gamma": gamma,
             "converged": True,       # fixed-horizon run
-            "admissible": admissible,
-            "residual_term": residual,
-            "sup_gap": sup_gap,
-            "bound_ok": bound_ok,
+            "admissible": params.beta_admissible,
+            "residual_term": 2.0 * params.p_max * beta ** (2.0 / 3.0),
+            "sup_gap": float(gaps.max()),
+            "bound_ok": report.families["leader_follower_gap"].failures == 0,
         })
     return SweepResult("beta", rows)
 
@@ -171,10 +158,11 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
     reaches the threshold, the settled iterations-to-threshold of the full
     network, and their ratio (the time-scale separation indicator).
     """
+    network = build_clustered_network(base)
+    admissible = 0.0 < base.beta < spectral_summary(network, base.tau).beta_max
     rows = []
     for tau_intra in sorted(int(t) for t in tau_intra_values):
         spec = base.replace(tau_intra=tau_intra)
-        network, summary, admissible = _admissible(spec)
         result = run_until(network, spec)
         follower_iter = None
         for rec in result.trace.records:

@@ -47,7 +47,6 @@ class ScenarioSpec:
     cluster_edges: tuple | None = None
     leader_graph: str = "line"
     leader_edges: tuple | None = None
-    leader_placement: str = "first"
     tau_intra: int = 0
     d: int = 1
     init_low: float = -4.0
@@ -119,10 +118,6 @@ class ScenarioSpec:
             bad("leader_graph", f"{self.leader_graph!r} is not one of {LEADER_GRAPHS}")
         if self.leader_graph == "explicit" and self.leader_edges is None:
             bad("leader_edges", "explicit leader graph needs an edge list")
-        if self.leader_placement != "first":
-            bad("leader_placement",
-                f"only 'first' (leader at each block start) is supported, "
-                f"got {self.leader_placement!r}")
 
     # -- derived ------------------------------------------------------
 
@@ -153,6 +148,12 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ConfigError(f"configuration must be a JSON object, "
                               f"got {type(data).__name__}")
+        # earlier versions wrote leader_placement, whose one value was "first"
+        data = dict(data)
+        placement = data.pop("leader_placement", "first")
+        if placement != "first":
+            raise ConfigError(f"invalid leader_placement: only 'first' (leader at "
+                              f"each block start) is supported, got {placement!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -409,13 +409,13 @@ def spectral_summary(network: "ClusteredNetwork", tau: int) -> SpectralSummary:
 
 @dataclass(frozen=True, eq=False)
 class Cluster:
-    """One cluster: its follower graph/weights and global node ids.
+    """One cluster: its follower weights, whose support is the follower
+    graph, and its global node ids.
 
     The follower matrix ranges over followers only; the leader couples into
     the follower update solely through the leader-tracking term.
     """
 
-    follower_graph: AdjacencyGraph
     follower_weights: WeightMatrix
     leader_id: int
     follower_ids: tuple
@@ -484,7 +484,6 @@ def build_clustered_network(spec) -> "ClusteredNetwork":
         weights = metropolis_weights(graph)
         clusters.append(
             Cluster(
-                follower_graph=graph,
                 follower_weights=weights,
                 leader_id=offset,
                 follower_ids=tuple(range(offset + 1, offset + size)),

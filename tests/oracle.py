@@ -2,8 +2,10 @@
 
 Everything here is written as dense matrix products with a plain
 clamped-index history list of whole-network states, deliberately unlike the
-engine's padded neighbour-table sums and modular history rings.
-Agreement between the two routes is the evidence the tests lean on.
+engine's padded neighbour-table sums and modular history rings.  The
+envelopes are evaluated one iteration and one Python float at a time,
+unlike the package's whole-column evaluation.  Agreement between the two
+routes is the evidence the tests lean on.
 """
 
 import numpy as np
@@ -112,3 +114,22 @@ def frobenius_deviation(block: np.ndarray) -> float:
     """Frobenius norm of the deviation from the row average."""
     block = np.asarray(block, dtype=float)
     return float(np.linalg.norm(block - block.mean(axis=0), ord="fro"))
+
+
+def envelopes(params, k: int) -> tuple:
+    """The closed-form envelopes at iteration k: (follower, leader, gap,
+    node), tuples per cluster or a float, None where a family does not
+    apply."""
+    follower = leader = gap = node = None
+    if params.follower_applicable:
+        follower = tuple(((1.0 - params.gamma) * s) ** k * n0
+                         for s, n0 in zip(params.sigma_per_cluster,
+                                          params.follower_init_norms))
+        residual = 2.0 * params.p_max * params.beta / params.gamma
+        gap = tuple((1.0 - params.gamma) ** k * g0 + residual
+                    for g0 in params.initial_gaps)
+    if params.leader_applicable:
+        leader = 2.0 * params.eta ** k * params.leader_init_norm
+    if follower is not None and leader is not None:
+        node = tuple(f + leader + g for f, g in zip(follower, gap))
+    return follower, leader, gap, node

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracle
 from cluster_consensus import (
     ConsistencyError,
     DiagnosticsRecord,
@@ -11,6 +14,7 @@ from cluster_consensus import (
     build_clustered_network,
     eta,
     max_stable_beta,
+    preset_small,
     run,
     sample_initial_values,
     theoretical_bounds,
@@ -265,6 +269,16 @@ def test_verify_rejects_mismatched_fingerprint():
         verify_bounds(trace, other)
 
 
+def test_verify_empty_trace_checks_nothing():
+    spec = admissible_spec()
+    params = bound_params(build_clustered_network(spec), spec)
+    report = verify_bounds(Trace(spec.fingerprint(), []), params)
+    assert report.all_satisfied and report.violations == ()
+    for fam in report.families.values():
+        assert fam.applicable and fam.checked == 0
+        assert fam.worst_margin is None and fam.first_violation_k is None
+
+
 def _sabotaged_trace(trace, index, factor):
     rec = trace.records[index]
     fake = DiagnosticsRecord(
@@ -332,3 +346,87 @@ def test_report_dict_shape():
         "leader_follower_gap", "node_error",
     }
     assert data["checked"] == 6 * 3 + 6 + 6 * 3 + 6 * 3
+
+
+def test_verify_counts_nan_as_failure():
+    spec = admissible_spec(max_iters=5)
+    network = build_clustered_network(spec)
+    trace = run(network, spec)
+    rec = trace.records[2]
+    records = list(trace.records)
+    records[2] = DiagnosticsRecord(
+        k=rec.k,
+        follower_disagreement=rec.follower_disagreement,
+        leader_disagreement=math.nan,
+        leader_follower_gap=rec.leader_follower_gap,
+        cluster_node_error=rec.cluster_node_error,
+        global_error=rec.global_error,
+    )
+    report = verify_bounds(Trace(trace.fingerprint, records),
+                           bound_params(network, spec))
+    fam = report.families["leader_disagreement"]
+    assert fam.failures == 1 and fam.first_violation_k == 2
+    assert math.isnan(fam.worst_margin)
+    assert [v["k"] for v in report.violations] == [2]
+
+
+def _doctor(rec, **changes):
+    fields = dict(k=rec.k, follower_disagreement=rec.follower_disagreement,
+                  leader_disagreement=rec.leader_disagreement,
+                  leader_follower_gap=rec.leader_follower_gap,
+                  cluster_node_error=rec.cluster_node_error,
+                  global_error=rec.global_error)
+    fields.update(changes)
+    return DiagnosticsRecord(**fields)
+
+
+def _bump(values, cluster):
+    return tuple(v + 1e3 if a == cluster else v for a, v in enumerate(values))
+
+
+def test_violations_match_per_iteration_reference():
+    """The whole-column verifier reports exactly the failing comparisons a
+    per-iteration loop over theoretical_bounds finds, in record order, then
+    follower, gap, leader and node family, then cluster; and every envelope
+    value equals the one-float-at-a-time reference."""
+    spec = preset_small().replace(beta=0.02, gamma=0.45, max_iters=200)
+    network = build_clustered_network(spec)
+    params = bound_params(network, spec)
+    assert params.beta_admissible
+    records = list(run(network, spec).records)
+    r = records
+    records[3] = _doctor(
+        r[3], follower_disagreement=_bump(r[3].follower_disagreement, 1),
+        leader_disagreement=r[3].leader_disagreement + 1e3)
+    records[40] = _doctor(
+        r[40], leader_follower_gap=_bump(r[40].leader_follower_gap, 2),
+        cluster_node_error=_bump(r[40].cluster_node_error, 0))
+    records[41] = _doctor(
+        r[41], cluster_node_error=tuple(v + 1e3 for v in r[41].cluster_node_error))
+    records[150] = _doctor(
+        r[150], follower_disagreement=_bump(r[150].follower_disagreement, 0),
+        leader_follower_gap=_bump(r[150].leader_follower_gap, 0),
+        leader_disagreement=1e3)
+    report = verify_bounds(Trace(spec.fingerprint(), records), params)
+
+    expected = []
+    for rec in records:
+        v = theoretical_bounds(params, rec.k)
+        assert (v.follower, v.leader, v.gap, v.node) == oracle.envelopes(params, rec.k)
+        rows = [("follower_disagreement", a, e, t) for a, (e, t) in
+                enumerate(zip(rec.follower_disagreement, v.follower))]
+        rows += [("leader_follower_gap", a, e, t) for a, (e, t) in
+                 enumerate(zip(rec.leader_follower_gap, v.gap))]
+        rows += [("leader_disagreement", None, rec.leader_disagreement, v.leader)]
+        rows += [("node_error", a, e, t) for a, (e, t) in
+                 enumerate(zip(rec.cluster_node_error, v.node))]
+        expected += [{"k": rec.k, "family": family, "cluster": a,
+                      "empirical": e, "theoretical": t}
+                     for family, a, e, t in rows if not e <= t + report.slack]
+    data = report.to_dict()
+    assert len(expected) == 10
+    assert data["violations"] == expected
+    assert {name: f["failures"] for name, f in data["families"].items()} == {
+        "follower_disagreement": 2, "leader_disagreement": 2,
+        "leader_follower_gap": 2, "node_error": 4}
+    assert data["checked"] == 201 * (3 + 1 + 3 + 3)

@@ -4,12 +4,15 @@ import sys
 
 import pytest
 
+import oracle
 from cluster_consensus import (
     BoundReport,
     ScenarioSpec,
+    bound_params,
     build_clustered_network,
     preset_small,
     run_until,
+    theoretical_bounds,
 )
 from cluster_consensus.cli import main
 
@@ -145,6 +148,35 @@ def test_run_bounds_na_for_intra_delay(tmp_path):
     for cells in rows:
         assert cells[l1] == "NA"
         assert cells[l2] != "NA"
+
+
+@pytest.mark.parametrize("changes", [{}, {"beta": 0.02, "gamma": 0.45},
+                                     {"beta": 0.5}, {"tau_intra": 2}],
+                         ids=["preset_small", "admissible_beta",
+                              "inadmissible_beta", "tau_intra_2"])
+def test_run_bounds_cells_match_per_iteration_bounds(tmp_path, changes):
+    """Every envelope cell of the trace is theoretical_bounds at that row's
+    iteration, printed with 17 digits, and equals the one-float-at-a-time
+    reference."""
+    spec = preset_small().replace(max_iters=300, **changes)
+    config = tmp_path / "config.json"
+    config.write_text(spec.to_json())
+    trace_path = tmp_path / "out.csv"
+    assert main(["run", "--config", str(config), "--trace", str(trace_path),
+                 "--with-bounds"]) in (0, 5)
+    header, rows = read_csv(trace_path)
+    params = bound_params(build_clustered_network(spec), spec)
+    first = header.index("L1_1")
+    r = spec.cluster_count
+    for cells in rows:
+        k = int(cells[0])
+        v = theoretical_bounds(params, k)
+        assert (v.follower, v.leader, v.gap, v.node) == oracle.envelopes(params, k)
+        want = ["NA" if x is None else format(x, ".17g")
+                for values, width in zip((v.follower, (v.leader,), v.gap, v.node),
+                                         (r, 1, r, r))
+                for x in (values or (None,) * width)]
+        assert cells[first:] == want, k
 
 
 def test_run_cap_exhaustion_exit_code(tmp_path):
@@ -326,6 +358,15 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     config.write_text(json.dumps(data))
     assert main(["spectral", "--config", str(config)]) == 3
     assert "surprise" in capsys.readouterr().err
+
+
+def test_leader_placement_other_than_first_is_config_error(tmp_path, capsys):
+    config, spec = tiny_config(tmp_path)
+    data = spec.to_dict()
+    data["leader_placement"] = "last"
+    config.write_text(json.dumps(data))
+    assert main(["spectral", "--config", str(config)]) == 3
+    assert "leader_placement" in capsys.readouterr().err
 
 
 def test_impossible_topology_is_topology_error(tmp_path, capsys):

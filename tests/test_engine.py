@@ -216,7 +216,7 @@ def reference_follower_step(network, state, cluster_index, gamma):
     new = np.empty_like(block)
     for i in range(block.shape[0]):
         acc = w[i, i] * block[i]
-        for j in cluster.follower_graph.neighbors(i):
+        for j in cluster.follower_weights.support.neighbors(i):
             acc += w[i, j] * block[j]
         new[i] = (1.0 - gamma) * acc + gamma * lead
     return new

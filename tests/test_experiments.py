@@ -173,3 +173,21 @@ def test_intra_delay_study_capped_rows():
     row = result.rows[0]
     assert not row["converged"]
     assert row["separation_ratio"] is None
+
+
+@pytest.mark.parametrize("study,values", [
+    (tau_sweep, [0, 1, 3]),
+    (rate_study, [0.01, 0.02]),
+    (intra_delay_study, [0, 1, 2]),
+])
+def test_studies_build_one_network(monkeypatch, study, values):
+    from cluster_consensus import experiments
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build_clustered_network(spec)
+
+    monkeypatch.setattr(experiments, "build_clustered_network", counting_build)
+    study(small_base(max_iters=40), values)
+    assert len(builds) == 1

@@ -124,3 +124,18 @@ def test_parse_config_text_reports_location():
 def test_parse_config_text_rejects_non_object():
     with pytest.raises(ConfigError):
         parse_config_text("[1, 2, 3]")
+
+
+def test_from_dict_drops_first_leader_placement():
+    spec = make_spec()
+    data = spec.to_dict()
+    assert "leader_placement" not in data
+    data["leader_placement"] = "first"     # written by earlier versions
+    assert ScenarioSpec.from_dict(data) == spec
+
+
+def test_from_dict_rejects_other_leader_placement():
+    data = make_spec().to_dict()
+    data["leader_placement"] = "last"
+    with pytest.raises(ConfigError, match="leader_placement"):
+        ScenarioSpec.from_dict(data)

@@ -363,7 +363,7 @@ def test_build_small_network_layout(tiny_network, tiny_spec):
     assert net.leader_ids == (0, 4, 8)
     assert net.clusters[1].follower_ids == (5, 6, 7)
     for c in net.clusters:
-        assert c.follower_graph.is_connected()
+        assert c.follower_weights.support.is_connected()
         assert c.size == 4
 
 
@@ -373,7 +373,8 @@ def test_build_is_deterministic():
     a = build_clustered_network(spec)
     b = build_clustered_network(spec)
     for ca, cb in zip(a.clusters, b.clusters):
-        assert ca.follower_graph.edges == cb.follower_graph.edges
+        assert (ca.follower_weights.support.edges
+                == cb.follower_weights.support.edges)
         assert np.array_equal(ca.follower_weights.entries,
                               cb.follower_weights.entries)
 
@@ -383,7 +384,8 @@ def test_build_seed_changes_geometric_topology():
                         beta=0.2, tau=2, seed=5, max_iters=10, radius=0.5)
     a = build_clustered_network(base)
     b = build_clustered_network(base.replace(seed=6))
-    assert any(ca.follower_graph.edges != cb.follower_graph.edges
+    assert any(ca.follower_weights.support.edges
+               != cb.follower_weights.support.edges
                for ca, cb in zip(a.clusters, b.clusters))
 
 
@@ -408,7 +410,8 @@ def test_build_explicit_edges():
         leader_edges=((0, 1),),
     )
     net = build_clustered_network(spec)
-    assert net.clusters[0].follower_graph.edges == frozenset({(0, 1), (1, 2), (0, 2)})
+    assert net.clusters[0].follower_weights.support.edges == frozenset(
+        {(0, 1), (1, 2), (0, 2)})
     assert net.leader_schedule.matrix_at(0).support.edges == frozenset({(0, 1)})
 
 
@@ -423,8 +426,7 @@ def test_build_single_cluster():
 def test_network_rejects_overlapping_clusters(tiny_network):
     from cluster_consensus import Cluster, ClusteredNetwork
     c = tiny_network.clusters[0]
-    dup = Cluster(c.follower_graph, c.follower_weights, c.leader_id,
-                  c.follower_ids)
+    dup = Cluster(c.follower_weights, c.leader_id, c.follower_ids)
     with pytest.raises(TopologyError):
         ClusteredNetwork((c, dup), tiny_network.leader_schedule, 24)
 

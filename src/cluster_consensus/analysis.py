@@ -23,6 +23,7 @@ that failed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -58,28 +59,43 @@ class DiagnosticsRecord:
     global_error: float
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a 2-d array, by the same arithmetic
+    as np.linalg.norm(x, axis=1)."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def diagnostics(state) -> DiagnosticsRecord:
-    """Compute all error families from a simulation state."""
-    blocks = state.follower_blocks
+    """Compute all error families from a simulation state.
+
+    The per-node errors are row norms over all followers at once, reduced
+    to one maximum per cluster.  The per-cluster average, disagreement and
+    gap use the arithmetic of mean and np.linalg.norm on each block (a
+    column sum divided by the count, the square root of a dot product),
+    whose summation order a segment sum over the whole array would not
+    reproduce.
+    """
+    followers = state.followers_at(0)
     leaders = state.leader_block
     lead_avg = leaders.mean(axis=0)
     follower_dis = []
     gaps = []
-    node_err = []
-    for a, block in enumerate(blocks):
-        avg = block.mean(axis=0)
-        follower_dis.append(float(np.linalg.norm(block - avg)))
-        gaps.append(float(np.linalg.norm(avg - leaders[a])))
-        node_err.append(float(np.linalg.norm(block - lead_avg, axis=1).max()))
-    leader_dis = float(np.linalg.norm(leaders - lead_avg))
-    leader_err = float(np.linalg.norm(leaders - lead_avg, axis=1).max())
+    for a, rows in enumerate(state.rows):
+        block = followers[rows]
+        avg = block.sum(axis=0) / len(block)
+        dev = (block - avg).ravel()
+        follower_dis.append(math.sqrt(dev.dot(dev)))
+        gap = avg - leaders[a]
+        gaps.append(math.sqrt(gap.dot(gap)))
+    node_err = np.maximum.reduceat(_row_norms(followers - lead_avg), state.starts)
+    leader_dev = leaders - lead_avg
     return DiagnosticsRecord(
         k=int(state.k),
         follower_disagreement=tuple(follower_dis),
-        leader_disagreement=leader_dis,
+        leader_disagreement=float(np.linalg.norm(leader_dev)),
         leader_follower_gap=tuple(gaps),
-        cluster_node_error=tuple(node_err),
-        global_error=max(max(node_err), leader_err),
+        cluster_node_error=tuple(node_err.tolist()),
+        global_error=max(node_err.max(), _row_norms(leader_dev).max()).item(),
     )
 
 

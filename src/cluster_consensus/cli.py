@@ -269,6 +269,25 @@ def cmd_run(args) -> int:
     return EXIT_OK if result.converged else EXIT_CAP
 
 
+def _skipped_families(report, params: BoundParams) -> list:
+    """One line per envelope family the report left unchecked, naming the
+    hypothesis the run violates: an admissible beta for the leader family,
+    no intra-cluster delay for the follower families, both for node errors."""
+    delay = f"tau_intra = {params.tau_intra} > 0"
+    beta = f"beta = {params.beta!r} is not below beta_max = {params.beta_max!r}"
+    lines = []
+    for name, family in report.families.items():
+        if family.applicable:
+            continue
+        reasons = []
+        if name != "leader_disagreement" and not params.follower_applicable:
+            reasons.append(delay)
+        if name in ("leader_disagreement", "node_error") and not params.leader_applicable:
+            reasons.append(beta)
+        lines.append(f"{name} not checked: {'; '.join(reasons)}")
+    return lines
+
+
 def cmd_verify_bounds(args) -> int:
     spec = _load_spec(args)
     network = build_clustered_network(spec)
@@ -276,6 +295,8 @@ def cmd_verify_bounds(args) -> int:
     params = bound_params(network, spec)
     report = verify_bounds(result.trace, params)
     write_report(report.to_dict(), args.report)
+    for line in _skipped_families(report, params):
+        print(f"verify-bounds: {line}", file=sys.stderr)
     if not report.all_satisfied:
         return EXIT_FAILURE
     return EXIT_OK if result.converged else EXIT_CAP

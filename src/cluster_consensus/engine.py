@@ -9,11 +9,16 @@ d-dimensional row vectors: all followers in one array stacked cluster by
 cluster, all leaders in another, each kept in a ring of recent iterations
 deep enough for the delays that read it.
 
-Both updates apply their mixing matrix through `WeightMatrix.mix`, which
-sums each row over a padded neighbour table in neighbour-list order, so
-every value equals the per-node accumulation bit for bit.  The test suite
-checks the updates against that per-node form and against an independent
-dense matrix-form evaluation of the same equations.
+A sweep updates every follower of every cluster in one gather-sum over the
+network's block-diagonal neighbour table (`ClusteredNetwork.mix_followers`)
+and gives each row its own leader's state through the per-row cluster index
+`NetworkState.owner`; there is no per-cluster follower step.  The leaders
+mix through `WeightMatrix.mix` over the same kind of table.  Both sum each
+row in neighbour-list order, so every value equals the per-node
+accumulation bit for bit.  The stopping metric is one reduction over all
+follower rows.  The test suite checks the updates against the per-node
+form and against an independent dense matrix-form evaluation of the same
+equations.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .analysis import diagnostics
+from .analysis import _row_norms, diagnostics
 from .errors import DomainError, NumericError, ShapeError
 
 
@@ -53,9 +58,10 @@ class NetworkState:
     equal the initial values.  followers_at(t) and leaders_at(t) read the
     states of t iterations ago; follower_blocks and leader_block read the
     current ones.  All four return views into the rings, which later
-    iterations overwrite, so a caller copies what it keeps.  p_max is the
-    largest initial per-node norm; the protocol keeps every node inside
-    that ball.
+    iterations overwrite, so a caller copies what it keeps.  owner[i] is
+    the cluster of follower row i and starts[a] the first row of cluster a.
+    p_max is the largest initial per-node norm; the protocol keeps every
+    node inside that ball.
     """
 
     def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra, p_max):
@@ -65,6 +71,8 @@ class NetworkState:
         self.p_max = float(p_max)
         stops = np.cumsum(cluster_sizes).tolist()
         self.rows = tuple(slice(a, b) for a, b in zip([0] + stops, stops))
+        self.owner = np.repeat(np.arange(len(self.rows)), cluster_sizes)
+        self.starts = np.array([0] + stops[:-1])
         self._followers = np.repeat(followers[None], self.tau_intra + 1, axis=0)
         self._leaders = np.repeat(leaders[None], max(self.tau, self.tau_intra) + 1,
                                   axis=0)
@@ -176,20 +184,6 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
 # one-step updates
 # ---------------------------------------------------------------------
 
-def follower_step(network, state: NetworkState, cluster_index: int,
-                  gamma: float) -> np.ndarray:
-    """New follower block for one cluster; does not modify the state.
-
-    Each follower keeps (1 - gamma) of its neighbourhood average and moves
-    gamma towards its leader.  Both reads use the values from tau_intra
-    iterations ago.
-    """
-    weights = network.clusters[cluster_index].follower_weights
-    block = state.followers_at(state.tau_intra)[state.rows[cluster_index]]
-    lead = state.leaders_at(state.tau_intra)[cluster_index]
-    return (1.0 - gamma) * weights.mix(block) + gamma * lead
-
-
 def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
     """New leader block; neighbour states are read through the tau delay.
 
@@ -202,11 +196,16 @@ def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
 
 
 def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
-    """One synchronous sweep: all blocks update from pre-step values."""
+    """One synchronous sweep: all blocks update from pre-step values.
+
+    Each follower keeps (1 - gamma) of its neighbourhood average and moves
+    gamma towards its own leader, both read tau_intra iterations ago.
+    """
     v_k = network.leader_schedule.matrix_at(state.k)
-    new_followers = np.empty_like(state.followers_at(0))
-    for a, rows in enumerate(state.rows):
-        new_followers[rows] = follower_step(network, state, a, steps.gamma)
+    stale = state.followers_at(state.tau_intra)
+    lead = state.leaders_at(state.tau_intra)[state.owner]
+    new_followers = ((1.0 - steps.gamma) * network.mix_followers(stale)
+                     + steps.gamma * lead)
     new_leaders = leader_step(state, steps.beta, v_k)
     state.push(new_followers, new_leaders)
     return state
@@ -262,11 +261,8 @@ def run(network, spec) -> Trace:
 
 def stopping_metric(state: NetworkState) -> float:
     """Largest distance from any follower to its own leader."""
-    leaders = state.leader_block
-    return max(
-        float(np.linalg.norm(block - leaders[a], axis=1).max())
-        for a, block in enumerate(state.follower_blocks)
-    )
+    dev = state.followers_at(0) - state.leader_block[state.owner]
+    return float(_row_norms(dev).max())
 
 
 def run_until(network, spec) -> RunResult:

@@ -238,40 +238,64 @@ class WeightMatrix:
 
     @cached_property
     def _neighbour_table(self) -> tuple:
-        """Padded neighbour table in ELLPACK form (Bell & Garland, SC'09).
+        """This matrix as a padded neighbour table (see _ellpack)."""
+        return _ellpack([self.entries])
 
-        Returns the diagonal (n, 1), the neighbour ids (width, n) and their
-        weights (width, n, 1), where width is the maximum degree.  Slot s
-        of row i holds the s-th neighbour of i in ascending order; rows
-        with fewer neighbours are padded with index 0 and weight 0.0.
-        """
-        w = self.entries
-        n = w.shape[0]
-        off = w.copy()
-        np.fill_diagonal(off, 0.0)
-        rows, cols = np.nonzero(off)
-        counts = np.bincount(rows, minlength=n)
-        width = int(counts.max()) if rows.size else 0
-        slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        index = np.zeros((width, n), dtype=np.intp)
-        weight = np.zeros((width, n, 1))
-        index[slots, rows] = cols
-        weight[slots, rows, 0] = w[rows, cols]
-        return np.diagonal(w)[:, None], index, weight
+    @cached_property
+    def sigma(self) -> float:
+        """second_largest_singular_value of this matrix, computed once."""
+        return second_largest_singular_value(self)
 
     def mix(self, x: np.ndarray) -> np.ndarray:
-        """W @ x for an (n, d) stack of row states, summed per row in the
-        order diagonal, then neighbours by ascending id.
+        """W @ x for an (n, d) stack of row states (see _gather_sum)."""
+        return _gather_sum(self._neighbour_table, x)
 
-        The order makes every row bit-identical to the per-node sum
-        w_ii x_i + sum_j w_ij x_j over the support graph's neighbour list.
-        """
-        diag, index, weight = self._neighbour_table
-        terms = weight * x[index]
-        acc = diag * x
-        for term in terms:
-            acc += term
-        return acc
+
+def _ellpack(blocks) -> tuple:
+    """Padded neighbour table in ELLPACK form (Bell & Garland, SC'09) of the
+    block-diagonal matrix with the given square blocks.
+
+    Returns the diagonal (n, 1), the neighbour ids (width, n) and their
+    weights (width, n, 1), where n is the total size and width the largest
+    row degree.  Slot s of row i holds the s-th neighbour of i in ascending
+    order, ids shifted by the offset of i's block; rows with fewer
+    neighbours are padded with index 0 and weight 0.0.
+    """
+    rows, cols, values = [], [], []
+    offset = 0
+    for w in blocks:
+        off = w.copy()
+        np.fill_diagonal(off, 0.0)
+        i, j = np.nonzero(off)
+        rows.append(i + offset)
+        cols.append(j + offset)
+        values.append(w[i, j])
+        offset += len(w)
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    counts = np.bincount(rows, minlength=offset)
+    width = int(counts.max()) if rows.size else 0
+    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    index = np.zeros((width, offset), dtype=np.intp)
+    weight = np.zeros((width, offset, 1))
+    index[slots, rows] = cols
+    weight[slots, rows, 0] = values
+    return np.concatenate([np.diagonal(w) for w in blocks])[:, None], index, weight
+
+
+def _gather_sum(table, x: np.ndarray) -> np.ndarray:
+    """Apply a neighbour table to an (n, d) stack of row states, summing
+    each row in the order diagonal, then neighbours by ascending id.
+
+    The order makes every row bit-identical to the per-node sum
+    w_ii x_i + sum_j w_ij x_j over the neighbour list; a padding slot adds
+    a zero, which can only turn a -0.0 row into +0.0.
+    """
+    diag, index, weight = table
+    terms = weight * x[index]
+    acc = diag * x
+    for term in terms:
+        acc += term
+    return acc
 
 
 def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
@@ -376,7 +400,7 @@ def delta_c(schedule: LeaderSchedule) -> float:
     For a single leader this is 0 by convention (a 1x1 matrix has no
     disagreement direction).
     """
-    return max(second_largest_singular_value(m) for m in schedule.matrices)
+    return max(m.sigma for m in schedule.matrices)
 
 
 @dataclass(frozen=True)
@@ -392,9 +416,7 @@ class SpectralSummary:
 def spectral_summary(network: "ClusteredNetwork", tau: int) -> SpectralSummary:
     if tau < 0:
         raise DomainError(f"tau must be non-negative, got {tau}")
-    sigmas = tuple(
-        second_largest_singular_value(c.follower_weights) for c in network.clusters
-    )
+    sigmas = tuple(c.follower_weights.sigma for c in network.clusters)
     dc = delta_c(network.leader_schedule)
     if tau >= 1:
         beta_max = 1.0 - dc ** (1.0 / tau)
@@ -452,6 +474,18 @@ class ClusteredNetwork:
     @property
     def leader_ids(self) -> tuple:
         return tuple(c.leader_id for c in self.clusters)
+
+    @cached_property
+    def _follower_table(self) -> tuple:
+        """One block-diagonal neighbour table over all followers, stacked
+        cluster by cluster and padded to the largest degree in the network.
+        Built on the first mix_followers call."""
+        return _ellpack([c.follower_weights.entries for c in self.clusters])
+
+    def mix_followers(self, x: np.ndarray) -> np.ndarray:
+        """Every cluster's follower matrix applied to its own rows of the
+        (N_f, d) follower stack, in one gather-sum."""
+        return _gather_sum(self._follower_table, x)
 
 
 def build_clustered_network(spec) -> "ClusteredNetwork":

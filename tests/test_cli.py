@@ -150,6 +150,23 @@ def test_run_bounds_na_for_intra_delay(tmp_path):
         assert cells[l2] != "NA"
 
 
+def test_run_with_bounds_solves_each_spectrum_once(tmp_path, monkeypatch):
+    """bound_params and the manifest share one sigma per follower matrix
+    and one delta_c per leader schedule."""
+    import numpy as np
+
+    solves = []
+    for name in ("eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _solver=solver, **kw: solves.append(1)
+                            or _solver(*a, **kw))
+    config, spec = tiny_config(tmp_path)
+    assert main(["run", "--config", str(config), "--trace", str(tmp_path / "out.csv"),
+                 "--with-bounds"]) == 0
+    assert len(solves) == spec.cluster_count + 1
+
+
 @pytest.mark.parametrize("changes", [{}, {"beta": 0.02, "gamma": 0.45},
                                      {"beta": 0.5}, {"tau_intra": 2}],
                          ids=["preset_small", "admissible_beta",
@@ -270,6 +287,47 @@ def test_verify_bounds_violation_exit(tmp_path, monkeypatch):
     report_path = tmp_path / "report.json"
     assert main(["verify-bounds", "--config", str(config),
                  "--report", str(report_path)]) == 1
+
+
+def test_verify_bounds_names_skipped_families(tmp_path, capsys):
+    """preset_small's beta lies above beta_max: the leader and node-error
+    families go unchecked, which stderr says; the report, stdout and the
+    exit code do not change."""
+    config = tmp_path / "small.json"
+    assert main(["preset", "small", "--config", str(config)]) == 0
+    report_path = tmp_path / "report.json"
+    assert main(["verify-bounds", "--config", str(config),
+                 "--report", str(report_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    params = bound_params(build_clustered_network(preset_small()), preset_small())
+    reason = f"beta = 0.1 is not below beta_max = {params.beta_max!r}"
+    assert err.splitlines() == [
+        f"verify-bounds: leader_disagreement not checked: {reason}",
+        f"verify-bounds: node_error not checked: {reason}",
+    ]
+    report = json.loads(report_path.read_text())
+    assert report["all_satisfied"] is True
+    assert [name for name, f in report["families"].items() if not f["applicable"]] == [
+        "leader_disagreement", "node_error"]
+
+
+def test_verify_bounds_names_intra_delay_skips(tmp_path, capsys):
+    config, _ = tiny_config(tmp_path, tau_intra=2)
+    assert main(["verify-bounds", "--config", str(config),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "verify-bounds: follower_disagreement not checked: tau_intra = 2 > 0",
+        "verify-bounds: leader_follower_gap not checked: tau_intra = 2 > 0",
+        "verify-bounds: node_error not checked: tau_intra = 2 > 0",
+    ]
+
+
+def test_verify_bounds_checks_everything_silently(tmp_path, capsys):
+    config, _ = tiny_config(tmp_path)
+    assert main(["verify-bounds", "--config", str(config),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracle
 from cluster_consensus import (
     ClusteredNetwork,
+    DiagnosticsRecord,
     DomainError,
     LeaderSchedule,
     NumericError,
@@ -15,15 +16,17 @@ from cluster_consensus import (
     advance,
     build_clustered_network,
     complete_graph,
+    diagnostics,
     init_state,
     line_graph,
     metropolis_weights,
     run,
     run_until,
     sample_initial_values,
+    spectral_summary,
     stopping_metric,
 )
-from cluster_consensus.engine import follower_step, leader_step
+from cluster_consensus.engine import leader_step
 
 
 def global_state(network, state):
@@ -236,6 +239,54 @@ def reference_leader_step(state, beta, weights):
     return new
 
 
+def reference_diagnostics(state):
+    """The error families computed cluster by cluster with mean and
+    np.linalg.norm."""
+    blocks = state.follower_blocks
+    leaders = state.leader_block
+    lead_avg = leaders.mean(axis=0)
+    follower_dis = []
+    gaps = []
+    node_err = []
+    for a, block in enumerate(blocks):
+        avg = block.mean(axis=0)
+        follower_dis.append(float(np.linalg.norm(block - avg)))
+        gaps.append(float(np.linalg.norm(avg - leaders[a])))
+        node_err.append(float(np.linalg.norm(block - lead_avg, axis=1).max()))
+    leader_dis = float(np.linalg.norm(leaders - lead_avg))
+    leader_err = float(np.linalg.norm(leaders - lead_avg, axis=1).max())
+    return DiagnosticsRecord(
+        k=int(state.k),
+        follower_disagreement=tuple(follower_dis),
+        leader_disagreement=leader_dis,
+        leader_follower_gap=tuple(gaps),
+        cluster_node_error=tuple(node_err),
+        global_error=max(max(node_err), leader_err),
+    )
+
+
+def reference_stopping_metric(state):
+    """Largest follower-to-leader distance, cluster by cluster."""
+    leaders = state.leader_block
+    return max(
+        float(np.linalg.norm(block - leaders[a], axis=1).max())
+        for a, block in enumerate(state.follower_blocks)
+    )
+
+
+def assert_sweep_matches_reference(network, state, sizes):
+    """The followers that advance computes on a copy of `state` equal the
+    per-node reference update cluster by cluster, and the diagnostics and
+    the stopping metric of `state` equal their per-cluster references, all
+    to the bit."""
+    new = advance(network, state.copy(), sizes).followers_at(0)
+    for a, rows in enumerate(state.rows):
+        want = reference_follower_step(network, state, a, sizes.gamma)
+        assert new[rows].tobytes() == want.tobytes(), f"cluster {a}"
+    assert repr(diagnostics(state)) == repr(reference_diagnostics(state))
+    assert repr(stopping_metric(state)) == repr(reference_stopping_metric(state))
+
+
 @st.composite
 def connected_edges(draw, node_count):
     """A random spanning tree plus random extra edges."""
@@ -289,10 +340,7 @@ def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
     state = init_state(network, init, spec.tau, spec.tau_intra)
     sizes = StepSizes(spec.gamma, spec.beta)
     for _ in range(spec.max_iters):
-        for a in range(network.cluster_count):
-            got = follower_step(network, state, a, spec.gamma)
-            want = reference_follower_step(network, state, a, spec.gamma)
-            assert got.tobytes() == want.tobytes()
+        assert_sweep_matches_reference(network, state, sizes)
         v_k = network.leader_schedule.matrix_at(state.k)
         got = leader_step(state, spec.beta, v_k)
         assert got.tobytes() == reference_leader_step(state, spec.beta, v_k).tobytes()
@@ -308,6 +356,71 @@ def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
             got[list(cl.follower_ids)] = blocks[a]
             got[cl.leader_id] = leaders[a]
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), f"step {k}"
+
+
+def sweep_against_reference(spec, steps):
+    network = build_clustered_network(spec)
+    init = sample_initial_values(spec, network.total_nodes)
+    state = init_state(network, init, spec.tau, spec.tau_intra)
+    sizes = StepSizes(spec.gamma, spec.beta)
+    for _ in range(steps):
+        assert_sweep_matches_reference(network, state, sizes)
+        advance(network, state, sizes)
+    return network
+
+
+def ring_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+@pytest.mark.parametrize("sizes,edges,width", [
+    ((2, 2), ((), ()), 0),
+    ((2, 5, 2), ((), ring_edges(4), ()), 2),
+], ids=["all-single", "some-single"])
+@pytest.mark.parametrize("tau_intra", [0, 2])
+def test_sweep_single_follower_clusters(sizes, edges, width, tau_intra):
+    spec = ScenarioSpec(family="explicit", cluster_sizes=sizes, cluster_edges=edges,
+                        gamma=0.4, beta=0.3, tau=2, tau_intra=tau_intra, d=2,
+                        seed=5, max_iters=10)
+    network = sweep_against_reference(spec, 30)
+    diag, index, weight = network._follower_table
+    followers = sum(sizes) - len(sizes)
+    assert diag.shape == (followers, 1)
+    assert index.shape == (width, followers) and weight.shape == (width, followers, 1)
+
+
+def test_sweep_pads_clusters_of_different_degree():
+    complete = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    spec = ScenarioSpec(family="explicit", cluster_sizes=(6, 10, 4),
+                        cluster_edges=(ring_edges(5), complete, [(0, 1), (1, 2)]),
+                        gamma=0.6, beta=0.2, tau=3, d=3, seed=9, max_iters=10)
+    network = sweep_against_reference(spec, 30)
+    _, index, weight = network._follower_table
+    assert index.shape == (8, 17)
+    # each row fills as many leading slots as it has neighbours; the rest is padding
+    filled = weight[..., 0] != 0.0
+    assert filled.sum(axis=0).tolist() == [2] * 5 + [8] * 9 + [1, 2, 1]
+    assert (filled == (np.arange(8)[:, None] < filled.sum(axis=0))).all()
+    assert not index[~filled].any()
+
+
+def test_sweep_many_clusters():
+    spec = ScenarioSpec(family="geometric", cluster_sizes=(21,) * 200, radius=0.6,
+                        gamma=0.5, beta=0.05, tau=5, seed=3, max_iters=10)
+    network = sweep_against_reference(spec, 4)
+    assert network._follower_table[0].shape == (4000, 1)
+
+
+def test_follower_table_built_once_on_first_sweep(tiny_spec):
+    network = build_clustered_network(tiny_spec)
+    spectral_summary(network, tiny_spec.tau)
+    assert "_follower_table" not in network.__dict__
+    state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau)
+    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    advance(network, state, sizes)
+    table = network.__dict__["_follower_table"]
+    advance(network, state, sizes)
+    assert network._follower_table is table
 
 
 # ---------------------------------------------------------------------
@@ -426,6 +539,10 @@ def test_stopping_metric_matches_reference(tiny_spec, tiny_network):
     state = init_state(tiny_network, init, tiny_spec.tau)
     want = oracle.worst_follower_leader_distance(tiny_network, init)
     assert stopping_metric(state) == pytest.approx(want, abs=1e-12)
+    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    for _ in range(20):
+        assert stopping_metric(state) == reference_stopping_metric(state)
+        advance(tiny_network, state, sizes)
 
 
 def test_run_until_settles(tiny_spec, tiny_network):

@@ -9,6 +9,8 @@ leaders agree with each other.
 
 import argparse
 
+import numpy as np
+
 from cluster_consensus import build_clustered_network, preset_small, run_until
 
 
@@ -28,19 +30,17 @@ def main():
         print(f"did not settle within {spec.max_iters} iterations")
         return
 
-    crossing = next(
-        rec.k for rec in result.trace.records
-        if max(rec.follower_disagreement) <= spec.threshold
-    )
+    trace = result.trace
+    follower = trace.follower_disagreement.max(axis=1)
+    crossing = int(np.flatnonzero(follower <= spec.threshold)[0])
     print(f"follower disagreement under {spec.threshold:g} at k = {crossing}")
     print(f"global agreement settled at k = {result.iterations}")
     print(f"time-scale separation: {result.iterations / crossing:.2f}x")
 
     for k in (0, crossing, result.iterations):
-        rec = result.trace.records[k]
-        print(f"  k={k:4d}  follower={max(rec.follower_disagreement):.3e}  "
-              f"leader={rec.leader_disagreement:.3e}  "
-              f"global={rec.global_error:.3e}")
+        print(f"  k={k:4d}  follower={follower[k]:.3e}  "
+              f"leader={trace.leader_disagreement[k]:.3e}  "
+              f"global={trace.global_error[k]:.3e}")
 
 
 if __name__ == "__main__":

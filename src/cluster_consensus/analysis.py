@@ -16,14 +16,16 @@ contracts exactly when beta < beta_max = 1 - delta_c^(1/tau); at beta_max
 the rate eta equals one.  Matrix norms are Frobenius, vector norms
 Euclidean.
 
-The envelopes are evaluated for all recorded iterations at once.  A
-verification report keeps one summary per family plus only the comparisons
-that failed.
+The families are evaluated for a block of iterations at once: segment
+sums and maxima over each cluster's rows (np.add.reduceat,
+np.maximum.reduceat) and sums over the state dimension, applied to a stack
+of follower and leader states, one layer per iteration.  The envelopes are
+evaluated for all recorded iterations at once.  A verification report
+keeps one summary per family plus only the comparisons that failed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -59,44 +61,58 @@ class DiagnosticsRecord:
     global_error: float
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every vector along the last axis."""
+    return np.add.reduce(x * x, axis=-1)
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a 2-d array, by the same arithmetic
-    as np.linalg.norm(x, axis=1)."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """Euclidean norm of every vector along the last axis, by the same
+    arithmetic as np.linalg.norm(x, axis=-1)."""
+    return np.sqrt(_squares(x))
+
+
+def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
+    """Every error family at each of n iterations at once.
+
+    followers is an (n, N_f, d) stack of the follower rows of n iterations,
+    cluster a occupying rows starts[a] up to starts[a + 1] and owner[i]
+    naming the cluster of row i; leaders is the matching (n, r, d) stack.
+    Returns the columns (follower disagreement, leader disagreement,
+    leader-follower gap, cluster node error, global error), shaped (n, r),
+    (n,), (n, r), (n, r) and (n,).  Per-cluster sums are segment
+    reductions over the row axis and norms reductions over d, so no value
+    depends on n or on the other iterations of the stack.
+    """
+    counts = np.diff(starts, append=followers.shape[1])[:, None]
+    avg = np.add.reduceat(followers, starts, axis=1) / counts
+    spread = _squares(followers - avg[:, owner])
+    follower_dis = np.sqrt(np.add.reduceat(spread, starts, axis=1))
+    gap = _row_norms(avg - leaders)
+    lead_avg = np.add.reduce(leaders, axis=1, keepdims=True) / leaders.shape[1]
+    node_err = np.maximum.reduceat(_row_norms(followers - lead_avg), starts, axis=1)
+    leader_sq = _squares(leaders - lead_avg)
+    leader_dis = np.sqrt(np.add.reduce(leader_sq, axis=1))
+    global_err = np.maximum(node_err.max(axis=1), np.sqrt(leader_sq.max(axis=1)))
+    return follower_dis, leader_dis, gap, node_err, global_err
+
+
+def _record(k, follower, leader, gap, node, error) -> DiagnosticsRecord:
+    """One iteration's row of the diagnostics columns, as Python floats."""
+    return DiagnosticsRecord(k, tuple(follower), leader, tuple(gap), tuple(node),
+                             error)
 
 
 def diagnostics(state) -> DiagnosticsRecord:
     """Compute all error families from a simulation state.
 
-    The per-node errors are row norms over all followers at once, reduced
-    to one maximum per cluster.  The per-cluster average, disagreement and
-    gap use the arithmetic of mean and np.linalg.norm on each block (a
-    column sum divided by the count, the square root of a dot product),
-    whose summation order a segment sum over the whole array would not
-    reproduce.
+    This is the block evaluation that the run driver applies to whole
+    blocks of iterations, here applied to the current iteration alone, so
+    it equals that iteration's row of a traced run bit for bit.
     """
-    followers = state.followers_at(0)
-    leaders = state.leader_block
-    lead_avg = leaders.mean(axis=0)
-    follower_dis = []
-    gaps = []
-    for a, rows in enumerate(state.rows):
-        block = followers[rows]
-        avg = block.sum(axis=0) / len(block)
-        dev = (block - avg).ravel()
-        follower_dis.append(math.sqrt(dev.dot(dev)))
-        gap = avg - leaders[a]
-        gaps.append(math.sqrt(gap.dot(gap)))
-    node_err = np.maximum.reduceat(_row_norms(followers - lead_avg), state.starts)
-    leader_dev = leaders - lead_avg
-    return DiagnosticsRecord(
-        k=int(state.k),
-        follower_disagreement=tuple(follower_dis),
-        leader_disagreement=float(np.linalg.norm(leader_dev)),
-        leader_follower_gap=tuple(gaps),
-        cluster_node_error=tuple(node_err.tolist()),
-        global_error=max(node_err.max(), _row_norms(leader_dev).max()).item(),
-    )
+    columns = _diagnostics_block(state.followers_at(0)[None], state.leader_block[None],
+                                 state.starts, state.owner)
+    return _record(int(state.k), *(c[0].tolist() for c in columns))
 
 
 # ---------------------------------------------------------------------
@@ -320,24 +336,23 @@ def verify_bounds(trace, params: BoundParams,
                   slack: float = VERIFY_SLACK) -> BoundReport:
     """Compare every recorded iteration against the closed-form envelopes.
 
-    A comparison holds when empirical <= theoretical + slack, so a NaN
-    fails.  The trace and the parameters must fingerprint the same
-    configuration; a mismatch raises ConsistencyError rather than producing
-    a nonsense verdict.
+    Each column of the trace is compared with its envelope as a whole
+    array; row k of a column is iteration k.  A comparison holds when
+    empirical <= theoretical + slack, so a NaN fails.  The trace and the
+    parameters must fingerprint the same configuration; a mismatch raises
+    ConsistencyError rather than producing a nonsense verdict.
     """
     if trace.fingerprint != params.fingerprint:
         raise ConsistencyError(
             f"trace fingerprint {trace.fingerprint[:12]}... does not match "
             f"bound parameters {params.fingerprint[:12]}..."
         )
-    records = trace.records
-    ks = [rec.k for rec in records]
-    follower, leader, gap, node = _envelopes(params, ks)
+    follower, leader, gap, node = _envelopes(params, range(len(trace)))
     columns = {
-        "follower_disagreement": (follower, [r.follower_disagreement for r in records]),
-        "leader_disagreement": (leader, [r.leader_disagreement for r in records]),
-        "leader_follower_gap": (gap, [r.leader_follower_gap for r in records]),
-        "node_error": (node, [r.cluster_node_error for r in records]),
+        "follower_disagreement": (follower, trace.follower_disagreement),
+        "leader_disagreement": (leader, trace.leader_disagreement),
+        "leader_follower_gap": (gap, trace.leader_follower_gap),
+        "node_error": (node, trace.cluster_node_error),
     }
     families = {}
     failing = []
@@ -346,7 +361,6 @@ def verify_bounds(trace, params: BoundParams,
         if theo is None:
             families[name] = FamilySummary(False, 0, 0, None, None)
             continue
-        emp = np.array(emp, float).reshape(theo.shape)
         bad = ~(emp <= theo + slack)
         rows, clusters = np.nonzero(bad if bad.ndim == 2 else bad[:, None])
         families[name] = FamilySummary(
@@ -354,13 +368,13 @@ def verify_bounds(trace, params: BoundParams,
             checked=emp.size,
             failures=len(rows),
             worst_margin=float((emp - theo).max()) if emp.size else None,
-            first_violation_k=ks[rows[0]] if len(rows) else None,
+            first_violation_k=int(rows[0]) if len(rows) else None,
         )
         rank = _VIOLATION_ORDER.index(name)
         for i, a, e, t in zip(rows.tolist(), clusters.tolist(),
                               emp[bad].tolist(), theo[bad].tolist()):
             failing.append(((i, rank, a), {
-                "k": ks[i], "family": name, "cluster": a if theo.ndim == 2 else None,
+                "k": i, "family": name, "cluster": a if theo.ndim == 2 else None,
                 "empirical": e, "theoretical": t,
             }))
     failing.sort(key=lambda item: item[0])

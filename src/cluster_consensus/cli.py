@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import BoundParams, _envelopes, bound_params, eta, verify_bounds
 from .engine import RunResult, Trace, run_until
@@ -104,13 +106,13 @@ def write_trace(trace: Trace, path, params: BoundParams | None = None):
 
     Inapplicable envelope values are written as NA, never as numbers.
     """
-    if not trace.records:
+    count = len(trace)
+    if not count:
         raise ConsensusError("refusing to write an empty trace")
-    count = len(trace.records)
-    r = len(trace.records[0].follower_disagreement)
+    r = trace.follower_disagreement.shape[1]
     bounds = [[]] * count
     if params is not None:
-        envelopes = _envelopes(params, [rec.k for rec in trace.records])
+        envelopes = _envelopes(params, range(count))
         columns = [  # L1, L2, L3 and T1, formatted family by family
             [["NA"] * width] * count if values is None
             else [[_fmt(v) for v in row]
@@ -118,15 +120,11 @@ def write_trace(trace: Trace, path, params: BoundParams | None = None):
             for values, width in zip(envelopes, (r, 1, r, r))
         ]
         bounds = [sum(cells, []) for cells in zip(*columns)]
+    table = np.column_stack((trace.follower_disagreement, trace.leader_disagreement,
+                             trace.leader_follower_gap, trace.global_error))
     lines = [",".join(trace_header(r, params is not None))]
-    for rec, extra in zip(trace.records, bounds):
-        row = ([str(rec.k)]
-               + [_fmt(v) for v in rec.follower_disagreement]
-               + [_fmt(rec.leader_disagreement)]
-               + [_fmt(v) for v in rec.leader_follower_gap]
-               + [_fmt(rec.global_error)]
-               + extra)
-        lines.append(",".join(row))
+    for k, (values, extra) in enumerate(zip(table.tolist(), bounds)):
+        lines.append(",".join([str(k)] + [_fmt(v) for v in values] + extra))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -16,20 +16,25 @@ and gives each row its own leader's state through the per-row cluster index
 mix through `WeightMatrix.mix` over the same kind of table.  Both sum each
 row in neighbour-list order, so every value equals the per-node
 accumulation bit for bit.  The stopping metric is one reduction over all
-follower rows.  The test suite checks the updates against the per-node
-form and against an independent dense matrix-form evaluation of the same
-equations.
+follower rows.
+
+The run driver evaluates the error families of a whole block of iterations
+at once, reading the block's states straight from the rings
+(`NetworkState.block_states`), and writes them into the columns of a
+`Trace`; no Python object is built per iteration.  The test suite checks
+the updates against the per-node form and against an independent dense
+matrix-form evaluation of the same equations.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .analysis import _row_norms, diagnostics
+from .analysis import _diagnostics_block, _record, _row_norms
 from .errors import DomainError, NumericError, ShapeError
 
 
@@ -47,21 +52,32 @@ class StepSizes:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
 
 
+# Diagnostics are evaluated for up to BLOCK_ITERATIONS consecutive
+# iterations at once, fewer where one iteration of the network's states
+# takes more than BLOCK_BYTES / BLOCK_ITERATIONS bytes.
+BLOCK_ITERATIONS = 64
+BLOCK_BYTES = 2 << 20
+
+
 class NetworkState:
     """Mutable simulation state at some iteration k, with its history.
 
     Two rings hold the history, each indexed modulo its depth so that slot
-    k % depth holds iteration k: the followers, shape (tau_intra + 1, N_f, d)
+    k % depth holds iteration k: the followers, shape (depth_f, N_f, d)
     with the rows of cluster a at rows[a], and the leaders, shape
-    (max(tau, tau_intra) + 1, r, d).  Every slot starts at the initial
-    values, which realises the convention that states before iteration 0
-    equal the initial values.  followers_at(t) and leaders_at(t) read the
-    states of t iterations ago; follower_blocks and leader_block read the
-    current ones.  All four return views into the rings, which later
-    iterations overwrite, so a caller copies what it keeps.  owner[i] is
-    the cluster of follower row i and starts[a] the first row of cluster a.
-    p_max is the largest initial per-node norm; the protocol keeps every
-    node inside that ball.
+    (depth_l, r, d).  Each depth is the history its delays read
+    (tau_intra + 1 for the followers, max(tau, tau_intra) + 1 for the
+    leaders) rounded up to a multiple of `block`, so the iterations of one
+    diagnostics block, which starts at a multiple of `block`, lie in
+    consecutive slots of both rings (see `block_states`).  Every slot
+    starts at the initial values, which realises the convention that
+    states before iteration 0 equal the initial values.  followers_at(t)
+    and leaders_at(t) read the states of t iterations ago; follower_blocks
+    and leader_block read the current ones.  All return views into the
+    rings, which later iterations overwrite, so a caller copies what it
+    keeps.  owner[i] is the cluster of follower row i and starts[a] the
+    first row of cluster a.  p_max is the largest initial per-node norm;
+    the protocol keeps every node inside that ball.
     """
 
     def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra, p_max):
@@ -73,9 +89,13 @@ class NetworkState:
         self.rows = tuple(slice(a, b) for a, b in zip([0] + stops, stops))
         self.owner = np.repeat(np.arange(len(self.rows)), cluster_sizes)
         self.starts = np.array([0] + stops[:-1])
-        self._followers = np.repeat(followers[None], self.tau_intra + 1, axis=0)
-        self._leaders = np.repeat(leaders[None], max(self.tau, self.tau_intra) + 1,
-                                  axis=0)
+        sweep_bytes = followers.nbytes + leaders.nbytes
+        self.block = max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // sweep_bytes))
+        self._reach = (self.tau_intra, max(self.tau, self.tau_intra))
+        self._followers, self._leaders = (
+            np.repeat(x[None], -(-(reach + 1) // self.block) * self.block, axis=0)
+            for x, reach in zip((followers, leaders), self._reach)
+        )
 
     @property
     def cluster_count(self) -> int:
@@ -85,20 +105,29 @@ class NetworkState:
     def dimension(self) -> int:
         return self._leaders.shape[2]
 
-    def _at(self, ring, offset):
-        if not (0 <= offset < len(ring)):
-            raise DomainError(
-                f"history offset {offset} outside [0, {len(ring) - 1}]"
-            )
+    def _at(self, ring, reach, offset):
+        if not (0 <= offset <= reach):
+            raise DomainError(f"history offset {offset} outside [0, {reach}]")
         return ring[(self.k - offset) % len(ring)]
 
     def followers_at(self, offset: int) -> np.ndarray:
         """(N_f, d) view of all followers, offset iterations ago."""
-        return self._at(self._followers, offset)
+        return self._at(self._followers, self._reach[0], offset)
 
     def leaders_at(self, offset: int) -> np.ndarray:
         """(r, d) view of all leaders, offset iterations ago."""
-        return self._at(self._leaders, offset)
+        return self._at(self._leaders, self._reach[1], offset)
+
+    def block_states(self, first: int) -> tuple:
+        """(n, N_f, d) and (n, r, d) views of the followers and leaders of
+        iterations first..k, one layer per iteration; first must start a
+        block and k lie in it."""
+        n = self.k - first + 1
+        if first % self.block or not (0 < n <= self.block):
+            raise DomainError(f"iterations {first}..{self.k} do not lie in one "
+                              f"block of {self.block}")
+        return tuple(ring[first % len(ring):][:n]
+                     for ring in (self._followers, self._leaders))
 
     @property
     def follower_blocks(self) -> list:
@@ -124,16 +153,39 @@ class NetworkState:
         return other
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Per-iteration diagnostics of one run, indexed contiguously from 0."""
+    """Error families of one run, one column per family; row k of every
+    column is iteration k, from 0.
+
+    follower_disagreement, leader_follower_gap and cluster_node_error have
+    shape (K, r), leader_disagreement and global_error shape (K,); the
+    families are those of `DiagnosticsRecord`.
+    """
 
     fingerprint: str
-    records: list = field(default_factory=list)
+    follower_disagreement: np.ndarray
+    leader_disagreement: np.ndarray
+    leader_follower_gap: np.ndarray
+    cluster_node_error: np.ndarray
+    global_error: np.ndarray
     raw_states: dict | None = None
 
     def __len__(self):
-        return len(self.records)
+        return len(self.global_error)
+
+    @property
+    def columns(self) -> tuple:
+        """The five family columns, in DiagnosticsRecord field order."""
+        return (self.follower_disagreement, self.leader_disagreement,
+                self.leader_follower_gap, self.cluster_node_error, self.global_error)
+
+    @property
+    def records(self) -> tuple:
+        """One DiagnosticsRecord per iteration, built from the columns on
+        every access."""
+        rows = zip(*(c.tolist() for c in self.columns))
+        return tuple(_record(k, *row) for k, row in enumerate(rows))
 
 
 @dataclass
@@ -215,9 +267,9 @@ def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
 # run driver
 # ---------------------------------------------------------------------
 
-def _snapshot(trace, state, stride):
+def _snapshot(raw_states, state, stride):
     if stride and state.k % stride == 0:
-        trace.raw_states[state.k] = (
+        raw_states[state.k] = (
             tuple(b.copy() for b in state.follower_blocks),
             state.leader_block.copy(),
         )
@@ -226,31 +278,44 @@ def _snapshot(trace, state, stride):
 def _drive(network, spec, until: bool) -> RunResult:
     """Record diagnostics at every iteration from 0 and sweep until
     spec.max_iters; with `until`, stop at a confirmed settling iteration
-    (see run_until)."""
+    (see run_until).
+
+    The diagnostics of a block of state.block iterations are evaluated
+    together once its last iteration is in the rings, and those of the
+    last, possibly partial, block when the run ends.
+    """
     state = init_state(
         network, sample_initial_values(spec, network.total_nodes),
         spec.tau, spec.tau_intra,
     )
     steps = StepSizes(spec.gamma, spec.beta)
     window = max(spec.tau, spec.tau_intra) + 1
-    trace = Trace(
-        fingerprint=spec.fingerprint(),
-        raw_states={} if spec.record_stride > 0 else None,
-    )
+    raw_states = {} if spec.record_stride > 0 else None
+    blocks = []
+    first = 0              # first iteration of the block being filled
     candidate = None
     while True:
-        trace.records.append(diagnostics(state))
-        _snapshot(trace, state, spec.record_stride)
+        _snapshot(raw_states, state, spec.record_stride)
+        outcome = None
         if until:
             if stopping_metric(state) <= spec.threshold:
                 if candidate is None:
                     candidate = state.k
                 if state.k - candidate + 1 >= window:
-                    return RunResult(True, candidate, trace)
+                    outcome = (True, candidate)
             else:
                 candidate = None
-        if state.k >= spec.max_iters:
-            return RunResult(False, spec.max_iters, trace)
+        if outcome is None and state.k >= spec.max_iters:
+            outcome = (False, spec.max_iters)
+        if outcome is not None or state.k - first + 1 == state.block:
+            blocks.append(_diagnostics_block(*state.block_states(first),
+                                             state.starts, state.owner))
+            first = state.k + 1
+        if outcome is not None:
+            trace = Trace(spec.fingerprint(),
+                          *(np.concatenate(c) for c in zip(*blocks)),
+                          raw_states=raw_states)
+            return RunResult(*outcome, trace)
         advance(network, state, steps)
 
 

@@ -138,14 +138,13 @@ def rate_study(base: ScenarioSpec, betas) -> SweepResult:
         trace = run(network, spec)
         params = bound_params(network, spec)
         report = verify_bounds(trace, params)
-        gaps = np.array([rec.leader_follower_gap for rec in trace.records])
         rows.append({
             "beta": beta,
             "gamma": gamma,
             "converged": True,       # fixed-horizon run
             "admissible": params.beta_admissible,
             "residual_term": 2.0 * params.p_max * beta ** (2.0 / 3.0),
-            "sup_gap": float(gaps.max()),
+            "sup_gap": float(trace.leader_follower_gap.max()),
             "bound_ok": report.families["leader_follower_gap"].failures == 0,
         })
     return SweepResult("beta", rows)
@@ -164,11 +163,8 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
     for tau_intra in sorted(int(t) for t in tau_intra_values):
         spec = base.replace(tau_intra=tau_intra)
         result = run_until(network, spec)
-        follower_iter = None
-        for rec in result.trace.records:
-            if max(rec.follower_disagreement) <= spec.threshold:
-                follower_iter = rec.k
-                break
+        below = result.trace.follower_disagreement.max(axis=1) <= spec.threshold
+        follower_iter = int(below.argmax()) if below.any() else None
         ratio = None
         if result.converged and follower_iter is not None:
             ratio = result.iterations / max(follower_iter, 1)

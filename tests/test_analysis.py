@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 import oracle
 from cluster_consensus import (
     ConsistencyError,
-    DiagnosticsRecord,
     DomainError,
     ScenarioSpec,
     Trace,
@@ -271,8 +271,10 @@ def test_verify_rejects_mismatched_fingerprint():
 
 def test_verify_empty_trace_checks_nothing():
     spec = admissible_spec()
-    params = bound_params(build_clustered_network(spec), spec)
-    report = verify_bounds(Trace(spec.fingerprint(), []), params)
+    network = build_clustered_network(spec)
+    params = bound_params(network, spec)
+    empty = Trace(spec.fingerprint(), *(c[:0] for c in run(network, spec).columns))
+    report = verify_bounds(empty, params)
     assert report.all_satisfied and report.violations == ()
     for fam in report.families.values():
         assert fam.applicable and fam.checked == 0
@@ -280,19 +282,9 @@ def test_verify_empty_trace_checks_nothing():
 
 
 def _sabotaged_trace(trace, index, factor):
-    rec = trace.records[index]
-    fake = DiagnosticsRecord(
-        k=rec.k,
-        follower_disagreement=tuple(factor * v
-                                    for v in rec.follower_disagreement),
-        leader_disagreement=rec.leader_disagreement,
-        leader_follower_gap=rec.leader_follower_gap,
-        cluster_node_error=rec.cluster_node_error,
-        global_error=rec.global_error,
-    )
-    records = list(trace.records)
-    records[index] = fake
-    return Trace(fingerprint=trace.fingerprint, records=records)
+    follower = trace.follower_disagreement.copy()
+    follower[index] *= factor
+    return dataclasses.replace(trace, follower_disagreement=follower)
 
 
 def test_verify_detects_violation():
@@ -317,17 +309,11 @@ def test_verify_slack_is_honoured():
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
     trace = run(network, spec)
-    rec = trace.records[0]
     theo = theoretical_bounds(params, 0).follower
     # push cluster 0 exactly 0.4 above its envelope, leave the rest alone
-    doctored = Trace(trace.fingerprint, [DiagnosticsRecord(
-        k=0,
-        follower_disagreement=(theo[0] + 0.4,) + rec.follower_disagreement[1:],
-        leader_disagreement=rec.leader_disagreement,
-        leader_follower_gap=rec.leader_follower_gap,
-        cluster_node_error=rec.cluster_node_error,
-        global_error=rec.global_error,
-    )])
+    follower = trace.follower_disagreement.copy()
+    follower[0, 0] = theo[0] + 0.4
+    doctored = dataclasses.replace(trace, follower_disagreement=follower)
     assert verify_bounds(doctored, params, slack=0.5).families[
         "follower_disagreement"].failures == 0
     assert verify_bounds(doctored, params, slack=0.3).families[
@@ -352,36 +338,14 @@ def test_verify_counts_nan_as_failure():
     spec = admissible_spec(max_iters=5)
     network = build_clustered_network(spec)
     trace = run(network, spec)
-    rec = trace.records[2]
-    records = list(trace.records)
-    records[2] = DiagnosticsRecord(
-        k=rec.k,
-        follower_disagreement=rec.follower_disagreement,
-        leader_disagreement=math.nan,
-        leader_follower_gap=rec.leader_follower_gap,
-        cluster_node_error=rec.cluster_node_error,
-        global_error=rec.global_error,
-    )
-    report = verify_bounds(Trace(trace.fingerprint, records),
+    leader = trace.leader_disagreement.copy()
+    leader[2] = math.nan
+    report = verify_bounds(dataclasses.replace(trace, leader_disagreement=leader),
                            bound_params(network, spec))
     fam = report.families["leader_disagreement"]
     assert fam.failures == 1 and fam.first_violation_k == 2
     assert math.isnan(fam.worst_margin)
     assert [v["k"] for v in report.violations] == [2]
-
-
-def _doctor(rec, **changes):
-    fields = dict(k=rec.k, follower_disagreement=rec.follower_disagreement,
-                  leader_disagreement=rec.leader_disagreement,
-                  leader_follower_gap=rec.leader_follower_gap,
-                  cluster_node_error=rec.cluster_node_error,
-                  global_error=rec.global_error)
-    fields.update(changes)
-    return DiagnosticsRecord(**fields)
-
-
-def _bump(values, cluster):
-    return tuple(v + 1e3 if a == cluster else v for a, v in enumerate(values))
 
 
 def test_violations_match_per_iteration_reference():
@@ -393,24 +357,25 @@ def test_violations_match_per_iteration_reference():
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
     assert params.beta_admissible
-    records = list(run(network, spec).records)
-    r = records
-    records[3] = _doctor(
-        r[3], follower_disagreement=_bump(r[3].follower_disagreement, 1),
-        leader_disagreement=r[3].leader_disagreement + 1e3)
-    records[40] = _doctor(
-        r[40], leader_follower_gap=_bump(r[40].leader_follower_gap, 2),
-        cluster_node_error=_bump(r[40].cluster_node_error, 0))
-    records[41] = _doctor(
-        r[41], cluster_node_error=tuple(v + 1e3 for v in r[41].cluster_node_error))
-    records[150] = _doctor(
-        r[150], follower_disagreement=_bump(r[150].follower_disagreement, 0),
-        leader_follower_gap=_bump(r[150].leader_follower_gap, 0),
-        leader_disagreement=1e3)
-    report = verify_bounds(Trace(spec.fingerprint(), records), params)
+    trace = run(network, spec)
+    follower, leader, gap, node = (c.copy() for c in (
+        trace.follower_disagreement, trace.leader_disagreement,
+        trace.leader_follower_gap, trace.cluster_node_error))
+    follower[3, 1] += 1e3
+    leader[3] += 1e3
+    gap[40, 2] += 1e3
+    node[40, 0] += 1e3
+    node[41] += 1e3
+    follower[150, 0] += 1e3
+    gap[150, 0] += 1e3
+    leader[150] = 1e3
+    doctored = dataclasses.replace(
+        trace, follower_disagreement=follower, leader_disagreement=leader,
+        leader_follower_gap=gap, cluster_node_error=node)
+    report = verify_bounds(doctored, params)
 
     expected = []
-    for rec in records:
+    for rec in doctored.records:
         v = theoretical_bounds(params, rec.k)
         assert (v.follower, v.leader, v.gap, v.node) == oracle.envelopes(params, rec.k)
         rows = [("follower_disagreement", a, e, t) for a, (e, t) in

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from cluster_consensus import (
     run_until,
     theoretical_bounds,
 )
-from cluster_consensus.cli import main
+from cluster_consensus.cli import main, write_trace
 
 R = 3   # cluster count of the tiny scenario below
 
@@ -242,6 +243,22 @@ def test_manifest_config_reproduces_trace(tmp_path):
     second = tmp_path / "second.csv"
     assert main(["run", "--config", str(echo), "--trace", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of the preset_small trace CSV (run_until, no envelope columns)
+PRESET_SMALL_TRACE_SHA256 = (
+    "e30a93c3173288c48a241b86080913e3bda650fe2831876eef3cc7c36fc239b0")
+
+
+def test_preset_small_trace_digest(tmp_path):
+    """Trace bytes may only move between versions on purpose."""
+    spec = preset_small()
+    path = tmp_path / "small.csv"
+    write_trace(run_until(build_clustered_network(spec), spec).trace, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PRESET_SMALL_TRACE_SHA256, (
+        f"preset_small trace digest is {digest}; if intentional, disclose the "
+        "byte move in CHANGES.md and update the digest")
 
 
 # ---------------------------------------------------------------------

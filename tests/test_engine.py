@@ -26,6 +26,7 @@ from cluster_consensus import (
     spectral_summary,
     stopping_metric,
 )
+from cluster_consensus import engine
 from cluster_consensus.engine import leader_step
 
 
@@ -239,6 +240,10 @@ def reference_leader_step(state, beta, weights):
     return new
 
 
+FAMILIES = ("follower_disagreement", "leader_disagreement", "leader_follower_gap",
+            "cluster_node_error", "global_error")
+
+
 def reference_diagnostics(state):
     """The error families computed cluster by cluster with mean and
     np.linalg.norm."""
@@ -274,16 +279,24 @@ def reference_stopping_metric(state):
     )
 
 
+def assert_records_close(got, want, tol):
+    assert got.k == want.k
+    for name in FAMILIES:
+        assert np.ravel(getattr(got, name)) == pytest.approx(
+            np.ravel(getattr(want, name)), rel=0.0, abs=tol), name
+
+
 def assert_sweep_matches_reference(network, state, sizes):
-    """The followers that advance computes on a copy of `state` equal the
-    per-node reference update cluster by cluster, and the diagnostics and
-    the stopping metric of `state` equal their per-cluster references, all
-    to the bit."""
+    """The followers that advance computes on a copy of `state` and the
+    stopping metric of `state` equal their per-node and per-cluster
+    references to the bit.  The diagnostics sum each cluster by segment
+    reductions, in another order than mean and np.linalg.norm, so they
+    agree with the per-cluster reference to rounding."""
     new = advance(network, state.copy(), sizes).followers_at(0)
     for a, rows in enumerate(state.rows):
         want = reference_follower_step(network, state, a, sizes.gamma)
         assert new[rows].tobytes() == want.tobytes(), f"cluster {a}"
-    assert repr(diagnostics(state)) == repr(reference_diagnostics(state))
+    assert_records_close(diagnostics(state), reference_diagnostics(state), 1e-13)
     assert repr(stopping_metric(state)) == repr(reference_stopping_metric(state))
 
 
@@ -339,14 +352,19 @@ def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
     init = sample_initial_values(spec, network.total_nodes)
     state = init_state(network, init, spec.tau, spec.tau_intra)
     sizes = StepSizes(spec.gamma, spec.beta)
+    stepped = []
     for _ in range(spec.max_iters):
         assert_sweep_matches_reference(network, state, sizes)
         v_k = network.leader_schedule.matrix_at(state.k)
         got = leader_step(state, spec.beta, v_k)
         assert got.tobytes() == reference_leader_step(state, spec.beta, v_k).tobytes()
+        stepped.append(repr(diagnostics(state)))
         advance(network, state, sizes)
+    stepped.append(repr(diagnostics(state)))
 
     trace = run(network, spec.replace(record_stride=1))
+    # diagnostics of one state is the traced row of its iteration, bit for bit
+    assert [repr(rec) for rec in trace.records] == stepped
     ref = oracle.simulate_dense(network, init, spec.gamma, spec.beta, spec.tau,
                                 spec.tau_intra, steps=spec.max_iters)
     for k, want in enumerate(ref):
@@ -591,6 +609,81 @@ def test_run_until_prefix_of_run(tiny_spec, tiny_network):
     full = run(tiny_network, tiny_spec.replace(max_iters=len(until.trace)))
     for a, b in zip(until.trace.records, full.records):
         assert a == b
+
+
+# ---------------------------------------------------------------------
+# diagnostics blocks
+# ---------------------------------------------------------------------
+
+BLOCKS = (1, 7, engine.BLOCK_ITERATIONS)
+
+
+def column_bytes(trace):
+    return [c.tobytes() for c in trace.columns]
+
+
+@pytest.mark.parametrize("sizes,edges", [
+    ((2, 2), ((), ())),
+    ((2, 5, 2), ((), ring_edges(4), ())),
+    ((6, 4, 5), (ring_edges(5), [(0, 1), (1, 2)], ring_edges(4))),
+], ids=["all-single", "some-single", "multi"])
+@pytest.mark.parametrize("d,tau_intra", [(1, 0), (3, 2)])
+def test_columns_independent_of_block_length(monkeypatch, sizes, edges, d, tau_intra):
+    """Traced columns are the same bytes whatever the block length and
+    wherever the run ends relative to a block boundary, and a shorter run
+    or a run_until is a byte prefix of a longer run."""
+    spec = ScenarioSpec(family="explicit", cluster_sizes=sizes, cluster_edges=edges,
+                        gamma=0.4, beta=0.3, tau=3, tau_intra=tau_intra, d=d,
+                        seed=17, max_iters=130, threshold=1e-2)
+    network = build_clustered_network(spec)
+    full = None
+    for block in BLOCKS:
+        monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
+        full = full or column_bytes(run(network, spec))      # blocks of 1
+        # 7, 14 and 21 rows end on a boundary of blocks of 7, 64 rows on one
+        # of blocks of 64; the other lengths end in a partial block
+        for max_iters in (0, 6, 13, 20, 63, 64, 130):
+            trace = run(network, spec.replace(max_iters=max_iters))
+            assert len(trace) == max_iters + 1
+            got = column_bytes(trace)
+            assert [f[:len(g)] for f, g in zip(full, got)] == got, (block, max_iters)
+        until = run_until(network, spec)
+        assert until.converged and len(until.trace) < spec.max_iters
+        got = column_bytes(until.trace)
+        assert [f[:len(g)] for f, g in zip(full, got)] == got, block
+
+
+def test_block_length_capped_by_bytes(tiny_network, monkeypatch):
+    init = np.arange(24, dtype=float).reshape(12, 2)
+    sweep_bytes = init.nbytes          # one iteration of all 12 nodes
+    for budget, block in ((1 << 20, engine.BLOCK_ITERATIONS),
+                          (5 * sweep_bytes + 1, 5), (sweep_bytes - 1, 1)):
+        monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+        state = init_state(tiny_network, init, tau=3, tau_intra=9)
+        assert state.block == block
+        # each ring holds its delays, rounded up to whole blocks
+        assert len(state._followers) == -(-10 // block) * block
+        assert len(state._leaders) == -(-10 // block) * block
+        state.followers_at(9)
+        with pytest.raises(DomainError):
+            state.followers_at(10)
+
+
+def test_block_states_are_one_block(tiny_spec, tiny_network, monkeypatch):
+    monkeypatch.setattr(engine, "BLOCK_ITERATIONS", 4)
+    state = init_state(tiny_network, sample_initial_values(tiny_spec, 12), tau=2)
+    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    seen = []
+    for _ in range(6):
+        seen.append(state.followers_at(0).copy())
+        advance(tiny_network, state, sizes)
+    seen.append(state.followers_at(0).copy())
+    followers, leaders = state.block_states(4)
+    assert followers.shape == (3, 9, 1) and leaders.shape == (3, 3, 1)
+    assert followers.tobytes() == np.stack(seen[4:]).tobytes()
+    for first in (3, 0):               # not a block start; more than a block
+        with pytest.raises(DomainError):
+            state.block_states(first)
 
 
 def test_state_copy_is_independent(tiny_spec, tiny_network):

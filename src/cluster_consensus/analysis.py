@@ -20,8 +20,9 @@ The families are evaluated for a block of iterations at once: segment
 sums and maxima over each cluster's rows (np.add.reduceat,
 np.maximum.reduceat) and sums over the state dimension, applied to a stack
 of follower and leader states, one layer per iteration.  The envelopes are
-evaluated for all recorded iterations at once.  A verification report
-keeps one summary per family plus only the comparisons that failed.
+evaluated as one table over all recorded iterations (`envelopes`).  A
+verification report keeps one summary per family plus only the
+comparisons that failed.
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
     return follower_dis, leader_dis, gap, node_err, global_err
 
 
-def _record(k, follower, leader, gap, node, error) -> DiagnosticsRecord:
-    """One iteration's row of the diagnostics columns, as Python floats."""
-    return DiagnosticsRecord(k, tuple(follower), leader, tuple(gap), tuple(node),
-                             error)
-
-
 def diagnostics(state) -> DiagnosticsRecord:
     """Compute all error families from a simulation state.
 
@@ -110,9 +105,11 @@ def diagnostics(state) -> DiagnosticsRecord:
     blocks of iterations, here applied to the current iteration alone, so
     it equals that iteration's row of a traced run bit for bit.
     """
-    columns = _diagnostics_block(state.followers_at(0)[None], state.leader_block[None],
+    columns = _diagnostics_block(state.followers_at(0)[None], state.leaders_at(0)[None],
                                  state.starts, state.owner)
-    return _record(int(state.k), *(c[0].tolist() for c in columns))
+    follower, leader, gap, node, error = (c[0].tolist() for c in columns)
+    return DiagnosticsRecord(int(state.k), tuple(follower), leader, tuple(gap),
+                             tuple(node), error)
 
 
 # ---------------------------------------------------------------------
@@ -226,54 +223,34 @@ def bound_params(network, spec) -> BoundParams:
 # closed-form envelopes
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundValues:
-    """Envelope values at one iteration; None marks an inapplicable family."""
+def envelopes(params: BoundParams, count: int) -> tuple:
+    """Every applicable envelope at iterations 0..count-1.
 
-    k: int
-    follower: tuple | None
-    leader: float | None
-    gap: tuple | None
-    node: tuple | None
-
-
-def _envelopes(params: BoundParams, ks) -> tuple:
-    """Every applicable envelope at each iteration of `ks`.
-
-    Returns (follower, leader, gap, node): arrays of shape (K, r), (K,),
-    (K, r) and (K, r), None for a family whose hypotheses the run violates.
-    Powers are Python's float ** int, which np.power does not always match
-    to the last bit.
+    Returns (follower, leader, gap, node): arrays of shape (count, r),
+    (count,), (count, r) and (count, r), None for a family whose hypotheses
+    the run violates (beta outside (0, beta_max) for the leader and node
+    families, intra-cluster delay for the follower families).  Powers are
+    Python's float ** int, which np.power does not always match to the
+    last bit.
     """
+    if not (isinstance(count, Integral) and count >= 0):
+        raise DomainError(f"iteration count must be a non-negative integer, "
+                          f"got {count!r}")
     r = len(params.sigma_per_cluster)
     follower = leader = gap = node = None
     if params.follower_applicable:
         rates = [(1.0 - params.gamma) * s for s in params.sigma_per_cluster]
-        powers = np.array([[q ** k for q in rates] for k in ks], float)
-        follower = powers.reshape(len(ks), r) * np.array(params.follower_init_norms)
-        decay = np.array([(1.0 - params.gamma) ** k for k in ks], float)
+        powers = np.array([[q ** k for q in rates] for k in range(count)], float)
+        follower = powers.reshape(count, r) * np.array(params.follower_init_norms)
+        decay = np.array([(1.0 - params.gamma) ** k for k in range(count)], float)
         residual = 2.0 * params.p_max * params.beta / params.gamma
         gap = decay[:, None] * np.array(params.initial_gaps) + residual
     if params.leader_applicable:
-        leader = (2.0 * np.array([params.eta ** k for k in ks], float)
+        leader = (2.0 * np.array([params.eta ** k for k in range(count)], float)
                   * params.leader_init_norm)
     if follower is not None and leader is not None:
         node = follower + leader[:, None] + gap
     return follower, leader, gap, node
-
-
-def theoretical_bounds(params: BoundParams, k: int) -> BoundValues:
-    """Evaluate every applicable envelope at iteration k.
-
-    Families whose hypotheses the run violates (beta outside (0, beta_max)
-    for the leader and node families, intra-cluster delay for the follower
-    families) are reported as None rather than as numbers.
-    """
-    if not (isinstance(k, Integral) and k >= 0):
-        raise DomainError(f"iteration must be a non-negative integer, got {k!r}")
-    values = (None if v is None else v[0].tolist() for v in _envelopes(params, [k]))
-    return BoundValues(int(k), *(tuple(v) if isinstance(v, list) else v
-                                 for v in values))
 
 
 # ---------------------------------------------------------------------
@@ -347,7 +324,7 @@ def verify_bounds(trace, params: BoundParams,
             f"trace fingerprint {trace.fingerprint[:12]}... does not match "
             f"bound parameters {params.fingerprint[:12]}..."
         )
-    follower, leader, gap, node = _envelopes(params, range(len(trace)))
+    follower, leader, gap, node = envelopes(params, len(trace))
     columns = {
         "follower_disagreement": (follower, trace.follower_disagreement),
         "leader_disagreement": (leader, trace.leader_disagreement),

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import BoundParams, _envelopes, bound_params, eta, verify_bounds
+from .analysis import BoundParams, bound_params, envelopes, eta, verify_bounds
 from .engine import RunResult, Trace, run_until
 from .errors import (
     ConfigError,
@@ -112,12 +112,11 @@ def write_trace(trace: Trace, path, params: BoundParams | None = None):
     r = trace.follower_disagreement.shape[1]
     bounds = [[]] * count
     if params is not None:
-        envelopes = _envelopes(params, range(count))
         columns = [  # L1, L2, L3 and T1, formatted family by family
             [["NA"] * width] * count if values is None
             else [[_fmt(v) for v in row]
                   for row in values.reshape(count, width).tolist()]
-            for values, width in zip(envelopes, (r, 1, r, r))
+            for values, width in zip(envelopes(params, count), (r, 1, r, r))
         ]
         bounds = [sum(cells, []) for cells in zip(*columns)]
     table = np.column_stack((trace.follower_disagreement, trace.leader_disagreement,

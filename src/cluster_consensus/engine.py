@@ -34,7 +34,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .analysis import _diagnostics_block, _record, _row_norms
+from .analysis import _diagnostics_block, _row_norms
 from .errors import DomainError, NumericError, ShapeError
 
 
@@ -63,17 +63,16 @@ class NetworkState:
     """Mutable simulation state at some iteration k, with its history.
 
     Two rings hold the history, each indexed modulo its depth so that slot
-    k % depth holds iteration k: the followers, shape (depth_f, N_f, d)
-    with the rows of cluster a at rows[a], and the leaders, shape
-    (depth_l, r, d).  Each depth is the history its delays read
-    (tau_intra + 1 for the followers, max(tau, tau_intra) + 1 for the
-    leaders) rounded up to a multiple of `block`, so the iterations of one
-    diagnostics block, which starts at a multiple of `block`, lie in
-    consecutive slots of both rings (see `block_states`).  Every slot
-    starts at the initial values, which realises the convention that
-    states before iteration 0 equal the initial values.  followers_at(t)
-    and leaders_at(t) read the states of t iterations ago; follower_blocks
-    and leader_block read the current ones.  All return views into the
+    k % depth holds iteration k: the followers, shape (depth_f, N_f, d),
+    stacked cluster by cluster, and the leaders, shape (depth_l, r, d).
+    Each depth is the history its delays read (tau_intra + 1 for the
+    followers, max(tau, tau_intra) + 1 for the leaders) rounded up to a
+    multiple of `block`, so the iterations of one diagnostics block, which
+    starts at a multiple of `block`, lie in consecutive slots of both rings
+    (see `block_states`).  Every slot starts at the initial values, which
+    realises the convention that states before iteration 0 equal the
+    initial values.  followers_at(t) and leaders_at(t) read the states of
+    t iterations ago, t = 0 the current ones.  Both return views into the
     rings, which later iterations overwrite, so a caller copies what it
     keeps.  owner[i] is the cluster of follower row i and starts[a] the
     first row of cluster a.  p_max is the largest initial per-node norm;
@@ -85,10 +84,8 @@ class NetworkState:
         self.tau_intra = int(tau_intra)
         self.k = 0
         self.p_max = float(p_max)
-        stops = np.cumsum(cluster_sizes).tolist()
-        self.rows = tuple(slice(a, b) for a, b in zip([0] + stops, stops))
-        self.owner = np.repeat(np.arange(len(self.rows)), cluster_sizes)
-        self.starts = np.array([0] + stops[:-1])
+        self.owner = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
+        self.starts = np.cumsum([0] + list(cluster_sizes[:-1]))
         sweep_bytes = followers.nbytes + leaders.nbytes
         self.block = max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // sweep_bytes))
         self._reach = (self.tau_intra, max(self.tau, self.tau_intra))
@@ -96,10 +93,6 @@ class NetworkState:
             np.repeat(x[None], -(-(reach + 1) // self.block) * self.block, axis=0)
             for x, reach in zip((followers, leaders), self._reach)
         )
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.rows)
 
     @property
     def dimension(self) -> int:
@@ -128,17 +121,6 @@ class NetworkState:
                               f"block of {self.block}")
         return tuple(ring[first % len(ring):][:n]
                      for ring in (self._followers, self._leaders))
-
-    @property
-    def follower_blocks(self) -> list:
-        """Per-cluster (n_a, d) views of the current followers."""
-        current = self.followers_at(0)
-        return [current[rows] for rows in self.rows]
-
-    @property
-    def leader_block(self) -> np.ndarray:
-        """(r, d) view of the current leaders."""
-        return self.leaders_at(0)
 
     def push(self, followers: np.ndarray, leaders: np.ndarray):
         """Store the states of iteration k + 1 and move to it."""
@@ -169,7 +151,6 @@ class Trace:
     leader_follower_gap: np.ndarray
     cluster_node_error: np.ndarray
     global_error: np.ndarray
-    raw_states: dict | None = None
 
     def __len__(self):
         return len(self.global_error)
@@ -179,13 +160,6 @@ class Trace:
         """The five family columns, in DiagnosticsRecord field order."""
         return (self.follower_disagreement, self.leader_disagreement,
                 self.leader_follower_gap, self.cluster_node_error, self.global_error)
-
-    @property
-    def records(self) -> tuple:
-        """One DiagnosticsRecord per iteration, built from the columns on
-        every access."""
-        rows = zip(*(c.tolist() for c in self.columns))
-        return tuple(_record(k, *row) for k, row in enumerate(rows))
 
 
 @dataclass
@@ -242,7 +216,7 @@ def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
     The own state enters twice: undelayed through the (1 - beta) hold and
     delayed through the mixing matrix diagonal.
     """
-    current = state.leader_block
+    current = state.leaders_at(0)
     delayed = state.leaders_at(state.tau)
     return (1.0 - beta) * current + beta * weights.mix(delayed)
 
@@ -267,14 +241,6 @@ def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
 # run driver
 # ---------------------------------------------------------------------
 
-def _snapshot(raw_states, state, stride):
-    if stride and state.k % stride == 0:
-        raw_states[state.k] = (
-            tuple(b.copy() for b in state.follower_blocks),
-            state.leader_block.copy(),
-        )
-
-
 def _drive(network, spec, until: bool) -> RunResult:
     """Record diagnostics at every iteration from 0 and sweep until
     spec.max_iters; with `until`, stop at a confirmed settling iteration
@@ -290,12 +256,10 @@ def _drive(network, spec, until: bool) -> RunResult:
     )
     steps = StepSizes(spec.gamma, spec.beta)
     window = max(spec.tau, spec.tau_intra) + 1
-    raw_states = {} if spec.record_stride > 0 else None
     blocks = []
     first = 0              # first iteration of the block being filled
     candidate = None
     while True:
-        _snapshot(raw_states, state, spec.record_stride)
         outcome = None
         if until:
             if stopping_metric(state) <= spec.threshold:
@@ -313,8 +277,7 @@ def _drive(network, spec, until: bool) -> RunResult:
             first = state.k + 1
         if outcome is not None:
             trace = Trace(spec.fingerprint(),
-                          *(np.concatenate(c) for c in zip(*blocks)),
-                          raw_states=raw_states)
+                          *(np.concatenate(c) for c in zip(*blocks)))
             return RunResult(*outcome, trace)
         advance(network, state, steps)
 
@@ -326,7 +289,7 @@ def run(network, spec) -> Trace:
 
 def stopping_metric(state: NetworkState) -> float:
     """Largest distance from any follower to its own leader."""
-    dev = state.followers_at(0) - state.leader_block[state.owner]
+    dev = state.followers_at(0) - state.leaders_at(0)[state.owner]
     return float(_row_norms(dev).max())
 
 

@@ -89,7 +89,7 @@ def _linear_fit(xs, ys) -> LinearFit | None:
     return LinearFit(float(slope), float(intercept), r2)
 
 
-def tau_sweep(base: ScenarioSpec, taus, fit: bool = True) -> SweepResult:
+def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
     """Iterations-to-threshold as a function of the inter-leader delay.
 
     beta is re-checked against beta_max for every tau (the admissible range
@@ -109,11 +109,8 @@ def tau_sweep(base: ScenarioSpec, taus, fit: bool = True) -> SweepResult:
             "admissible": 0.0 < spec.beta < summary.beta_max,
             "beta_max": summary.beta_max,
         })
-    line = None
-    if fit:
-        done = [r for r in rows if r["converged"]]
-        line = _linear_fit([r["tau"] for r in done],
-                           [r["iterations"] for r in done])
+    done = [r for r in rows if r["converged"]]
+    line = _linear_fit([r["tau"] for r in done], [r["iterations"] for r in done])
     return SweepResult("tau", rows, line)
 
 

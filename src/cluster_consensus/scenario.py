@@ -4,7 +4,9 @@ A ScenarioSpec pins the topology family and its parameters, the step sizes,
 the delays, the initial-value interval, the seed, and the stopping rule.
 There is no hidden global state: two runs from equal specs produce
 byte-identical artifacts.  Specs round-trip through JSON documents whose
-unknown keys are rejected rather than ignored.
+unknown keys are rejected rather than ignored.  Every value is checked for
+its type before anything is coerced, and a spec whose run would need more
+than MAX_PEAK_BYTES is rejected before anything is built.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from math import isfinite
+from numbers import Integral, Real
 
 from .errors import ConfigError
 
@@ -20,6 +24,44 @@ TOPOLOGY_FAMILIES = ("ring", "geometric", "explicit")
 LEADER_GRAPHS = ("line", "complete", "explicit")
 
 _REQUIRED_KEYS = ("family", "cluster_sizes", "gamma", "beta", "tau", "seed", "max_iters")
+_INT_FIELDS = ("tau", "tau_intra", "seed", "max_iters", "d")
+_REAL_FIELDS = ("gamma", "beta", "init_low", "init_high", "threshold")
+
+# Largest estimated peak memory of a run (see _peak_bytes) that a spec may
+# describe; larger specs fail with ConfigError before anything is built.
+MAX_PEAK_BYTES = 2 << 30
+
+# Bytes per node pair of one cluster (or of the leaders) at the peak of
+# building, solving and running it: the Python edge sets, the dense weights,
+# the (n, n, 2) point differences of a geometric graph, the copies eigvalsh
+# works on and the neighbour table.  On 64-bit CPython 3.11, tracemalloc
+# measures about 157 on a complete geometric cluster of 1,000 followers and
+# about 50 on a sparse one.
+_BYTES_PER_PAIR = 160
+
+# Keys that earlier versions wrote, each with the test a value must pass to be
+# discarded: the one placement was "first", the stride snapshot interval
+# was a non-negative integer.
+_RETIRED_KEYS = {
+    "leader_placement": (lambda v: v == "first",
+                         "only 'first' (leader at each block start) is supported"),
+    "record_stride": (lambda v: _is_int(v) and v >= 0,
+                      "must be a non-negative integer"),
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def _is_edge_list(edges) -> bool:
+    return isinstance(edges, (list, tuple)) and all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(i) for i in e)
+        for e in edges)
 
 
 def _edges_tuple(edges):
@@ -52,24 +94,21 @@ class ScenarioSpec:
     init_low: float = -4.0
     init_high: float = 4.0
     threshold: float = 1e-3
-    record_stride: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "cluster_sizes",
-                           tuple(int(s) for s in self.cluster_sizes))
         self._validate()
-        # normalise numeric fields so equal specs fingerprint identically
-        for name in ("gamma", "beta", "init_low", "init_high", "threshold"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.radius is not None:
-            object.__setattr__(self, "radius", float(self.radius))
-        if self.cluster_edges is not None:
-            object.__setattr__(
-                self, "cluster_edges",
-                tuple(_edges_tuple(e) for e in self.cluster_edges),
-            )
-        if self.leader_edges is not None:
-            object.__setattr__(self, "leader_edges", _edges_tuple(self.leader_edges))
+        # normalise every given value so equal specs fingerprint identically
+        def normalise(name, kind):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+
+        normalise("cluster_sizes", lambda sizes: tuple(map(int, sizes)))
+        for name in _INT_FIELDS:
+            normalise(name, int)
+        for name in _REAL_FIELDS + ("radius",):
+            normalise(name, float)
+        normalise("cluster_edges", lambda lists: tuple(map(_edges_tuple, lists)))
+        normalise("leader_edges", _edges_tuple)
 
     def _validate(self):
         def bad(name, why):
@@ -77,47 +116,56 @@ class ScenarioSpec:
 
         if self.family not in TOPOLOGY_FAMILIES:
             bad("family", f"{self.family!r} is not one of {TOPOLOGY_FAMILIES}")
-        if not self.cluster_sizes:
+        sizes = self.cluster_sizes
+        if not (isinstance(sizes, (list, tuple)) and all(_is_int(s) for s in sizes)):
+            bad("cluster_sizes", f"must be a list of integers, got {sizes!r}")
+        if not sizes:
             bad("cluster_sizes", "must name at least one cluster")
-        if any(s < 2 for s in self.cluster_sizes):
+        if any(s < 2 for s in sizes):
             bad("cluster_sizes", f"every cluster needs a leader and at least one "
-                                 f"follower, got {self.cluster_sizes}")
-        if not (isinstance(self.gamma, (int, float)) and 0.0 < self.gamma < 1.0):
+                                 f"follower, got {sizes}")
+        for name in _REAL_FIELDS + (() if self.radius is None else ("radius",)):
+            if not _is_real(getattr(self, name)):
+                bad(name, f"must be a number, got {getattr(self, name)!r}")
+        for name in _INT_FIELDS:
+            value, least = getattr(self, name), 1 if name == "d" else 0
+            if not (_is_int(value) and value >= least):
+                bad(name, f"must be an integer of at least {least}, got {value!r}")
+        if not (0.0 < self.gamma < 1.0):
             bad("gamma", f"must lie in (0, 1), got {self.gamma}")
-        if not (isinstance(self.beta, (int, float)) and 0.0 < self.beta <= 1.0):
+        if not (0.0 < self.beta <= 1.0):
             bad("beta", f"must lie in (0, 1], got {self.beta}")
-        if not (isinstance(self.tau, int) and self.tau >= 0):
-            bad("tau", f"must be a non-negative integer, got {self.tau!r}")
-        if not (isinstance(self.tau_intra, int) and self.tau_intra >= 0):
-            bad("tau_intra", f"must be a non-negative integer, got {self.tau_intra!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            bad("seed", f"must be a non-negative integer, got {self.seed!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 0):
-            bad("max_iters", f"must be a non-negative integer, got {self.max_iters!r}")
-        if not (isinstance(self.d, int) and self.d >= 1):
-            bad("d", f"state dimension must be a positive integer, got {self.d!r}")
-        if not (self.init_low < self.init_high):
-            bad("init_low/init_high",
-                f"need init_low < init_high, got [{self.init_low}, {self.init_high}]")
+        low, high = self.init_low, self.init_high
+        if not (low < high and isfinite(high - low)):
+            bad("init_low/init_high", f"need init_low < init_high a finite distance "
+                                      f"apart, got [{low}, {high}]")
         if not (self.threshold > 0):
             bad("threshold", f"must be positive, got {self.threshold}")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 0):
-            bad("record_stride", f"must be a non-negative integer, "
-                                 f"got {self.record_stride!r}")
         if self.family == "geometric":
             if self.radius is None or not (self.radius > 0):
                 bad("radius", "geometric topology needs a positive radius")
+        if self.cluster_edges is not None and not (
+                isinstance(self.cluster_edges, (list, tuple))
+                and all(_is_edge_list(e) for e in self.cluster_edges)):
+            bad("cluster_edges", "must be one list of integer pairs per cluster")
         if self.family == "explicit":
             if self.cluster_edges is None:
                 bad("cluster_edges", "explicit topology needs per-cluster edge lists")
-            if len(self.cluster_edges) != len(self.cluster_sizes):
+            if len(self.cluster_edges) != len(sizes):
                 bad("cluster_edges",
                     f"got {len(self.cluster_edges)} edge lists for "
-                    f"{len(self.cluster_sizes)} clusters")
+                    f"{len(sizes)} clusters")
+        if self.leader_edges is not None and not _is_edge_list(self.leader_edges):
+            bad("leader_edges", "must be a list of integer pairs")
         if self.leader_graph not in LEADER_GRAPHS:
             bad("leader_graph", f"{self.leader_graph!r} is not one of {LEADER_GRAPHS}")
         if self.leader_graph == "explicit" and self.leader_edges is None:
             bad("leader_edges", "explicit leader graph needs an edge list")
+        peak = _peak_bytes(self)
+        if peak > MAX_PEAK_BYTES:
+            raise ConfigError(f"scenario too large: a run is estimated to need "
+                              f"{peak / 2**30:.3g} GiB at its peak, above the "
+                              f"limit of {MAX_PEAK_BYTES / 2**30:g} GiB")
 
     # -- derived ------------------------------------------------------
 
@@ -148,12 +196,10 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ConfigError(f"configuration must be a JSON object, "
                               f"got {type(data).__name__}")
-        # earlier versions wrote leader_placement, whose one value was "first"
         data = dict(data)
-        placement = data.pop("leader_placement", "first")
-        if placement != "first":
-            raise ConfigError(f"invalid leader_placement: only 'first' (leader at "
-                              f"each block start) is supported, got {placement!r}")
+        for key, (accepted, why) in _RETIRED_KEYS.items():
+            if key in data and not accepted(value := data.pop(key)):
+                raise ConfigError(f"invalid {key}: {why}, got {value!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -170,6 +216,22 @@ class ScenarioSpec:
         """Stable digest of the canonical JSON form of this spec."""
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _peak_bytes(spec) -> int:
+    """Estimated peak memory of building and running `spec`, in bytes:
+    _BYTES_PER_PAIR for every node pair of each cluster and of the leaders,
+    one sweep's neighbour gather (an index, weights and two (width, N_f, d)
+    arrays) and both history rings, depth x rows x d x 8 bytes.  Rounding
+    the rings up to whole diagnostics blocks adds at most 2 MiB to each."""
+    followers = [s - 1 for s in spec.cluster_sizes]
+    rows, r = sum(followers), len(followers)
+    width = 2 if spec.family == "ring" else max(followers) - 1
+    pairs = sum(n * n for n in followers) + r * r
+    gather = 8 * (2 + 2 * spec.d) * (width * rows + r * r)
+    rings = 8 * spec.d * ((spec.tau_intra + 1) * rows
+                          + (max(spec.tau, spec.tau_intra) + 1) * r)
+    return _BYTES_PER_PAIR * pairs + gather + rings
 
 
 def _untuple(v):

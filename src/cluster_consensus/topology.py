@@ -27,6 +27,7 @@ from .errors import (
 )
 
 DOUBLY_STOCHASTIC_TOL = 1e-12
+GEOMETRIC_ATTEMPTS = 100     # point draws before geometric_graph gives up
 
 
 # =====================================================================
@@ -117,15 +118,14 @@ def complete_graph(node_count: int) -> AdjacencyGraph:
     )
 
 
-def geometric_graph(node_count: int, radius: float, rng,
-                    max_attempts: int = 100) -> AdjacencyGraph:
+def geometric_graph(node_count: int, radius: float, rng) -> AdjacencyGraph:
     """Random geometric graph: uniform points in the unit square, edge iff
     the Euclidean distance is below `radius`.  Resamples until connected,
-    giving up after `max_attempts` draws.
+    giving up after GEOMETRIC_ATTEMPTS draws.
     """
     if radius <= 0:
         raise ConstructionError(f"geometric radius must be positive, got {radius}")
-    for _ in range(max_attempts):
+    for _ in range(GEOMETRIC_ATTEMPTS):
         pts = rng.random((node_count, 2))
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         close = (dists < radius) & ~np.eye(node_count, dtype=bool)
@@ -135,7 +135,7 @@ def geometric_graph(node_count: int, radius: float, rng,
             return graph
     raise ConstructionError(
         f"no connected geometric graph on {node_count} nodes with radius "
-        f"{radius} within {max_attempts} attempts"
+        f"{radius} within {GEOMETRIC_ATTEMPTS} attempts"
     )
 
 
@@ -169,15 +169,16 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def validate_weights(entries, support: AdjacencyGraph, alpha: float,
-                     tol: float = DOUBLY_STOCHASTIC_TOL) -> ValidationReport:
+def validate_weights(entries, support: AdjacencyGraph,
+                     alpha: float) -> ValidationReport:
     """Check a candidate mixing matrix against its support graph.
 
-    Clauses checked: row sums and column sums equal one (within `tol`),
-    off-diagonal entries are positive exactly on edges of `support`,
-    diagonal entries reach `alpha`, and edge weights reach `alpha` (the
-    lower bounds get the same `tol` of slack, since a diagonal computed as
-    one minus a row sum can land a rounding error below alpha).
+    Clauses checked: row sums and column sums equal one (within
+    DOUBLY_STOCHASTIC_TOL), off-diagonal entries are positive exactly on
+    edges of `support`, diagonal entries reach `alpha`, and edge weights
+    reach `alpha` (the lower bounds get the same tolerance, since a
+    diagonal computed as one minus a row sum can land a rounding error
+    below alpha).
     """
     w = np.asarray(entries, dtype=float)
     n = support.node_count
@@ -188,6 +189,7 @@ def validate_weights(entries, support: AdjacencyGraph, alpha: float,
     if not (0 < alpha <= 1):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
 
+    tol = DOUBLY_STOCHASTIC_TOL
     bad = []
     rows = w.sum(axis=1)
     for i in np.nonzero(np.abs(rows - 1.0) > tol)[0]:

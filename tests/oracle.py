@@ -133,3 +133,10 @@ def envelopes(params, k: int) -> tuple:
     if follower is not None and leader is not None:
         node = tuple(f + leader + g for f, g in zip(follower, gap))
     return follower, leader, gap, node
+
+
+def envelope_row(table, k: int) -> tuple:
+    """Row k of a package envelope table, (follower, leader, gap, node)
+    arrays or None, in the form envelopes above returns."""
+    return tuple(None if v is None else v[k].item() if v.ndim == 1
+                 else tuple(v[k].tolist()) for v in table)

@@ -116,10 +116,14 @@ EQUIVALENCE_INSTANCES = [
 
 def _global(network, state):
     out = np.zeros((network.total_nodes, state.dimension))
-    for a, cl in enumerate(network.clusters):
-        out[list(cl.follower_ids)] = state.follower_blocks[a]
-        out[cl.leader_id] = state.leader_block[a]
+    out[[i for cl in network.clusters for i in cl.follower_ids]] = state.followers_at(0)
+    out[list(network.leader_ids)] = state.leaders_at(0)
     return out
+
+
+def _follower_means(state):
+    return np.stack([b.mean(axis=0)
+                     for b in np.split(state.followers_at(0), state.starts[1:])])
 
 
 def test_criterion_03_engine_equivalence():
@@ -150,16 +154,15 @@ def test_criterion_04_average_conservation():
         init = sample_initial_values(spec, network.total_nodes)
         state = init_state(network, init, spec.tau, spec.tau_intra)
         sizes = StepSizes(spec.gamma, spec.beta)
-        fmeans = [np.stack([b.mean(axis=0) for b in state.follower_blocks])]
-        lmeans = [state.leader_block.mean(axis=0)]
-        leaders = [state.leader_block.copy()]
+        fmeans = [_follower_means(state)]
+        lmeans = [state.leaders_at(0).mean(axis=0)]
+        leaders = [state.leaders_at(0).copy()]
         steps = 500 if index == 0 else 60
         for _ in range(steps):
             advance(network, state, sizes)
-            fmeans.append(np.stack([b.mean(axis=0)
-                                    for b in state.follower_blocks]))
-            lmeans.append(state.leader_block.mean(axis=0))
-            leaders.append(state.leader_block.copy())
+            fmeans.append(_follower_means(state))
+            lmeans.append(state.leaders_at(0).mean(axis=0))
+            leaders.append(state.leaders_at(0).copy())
         for k in range(steps):
             want = ((1 - spec.gamma) * fmeans[k]
                     + spec.gamma * leaders[k])
@@ -186,8 +189,8 @@ def test_criterion_05_small_network_two_time_scale():
     assert result.iterations == 174          # frozen reference value
 
     crossing = next(
-        rec.k for rec in result.trace.records
-        if max(rec.follower_disagreement) <= spec.threshold
+        k for k, row in enumerate(result.trace.follower_disagreement.tolist())
+        if max(row) <= spec.threshold
     )
     assert crossing == 12                    # frozen reference value
     assert result.iterations / crossing >= 3.0

@@ -12,12 +12,12 @@ from cluster_consensus import (
     Trace,
     bound_params,
     build_clustered_network,
+    envelopes,
     eta,
     max_stable_beta,
     preset_small,
     run,
     sample_initial_values,
-    theoretical_bounds,
     verify_bounds,
 )
 
@@ -152,27 +152,24 @@ def test_bounds_at_zero():
     spec = admissible_spec()
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
-    v = theoretical_bounds(params, 0)
+    follower, leader, gap, node = (v[0] for v in envelopes(params, 1))
     residual = 2 * params.p_max * params.beta / params.gamma
-    assert v.follower == pytest.approx(params.follower_init_norms)
-    assert v.leader == pytest.approx(2 * params.leader_init_norm)
-    for g, g0 in zip(v.gap, params.initial_gaps):
-        assert g == pytest.approx(g0 + residual)
-    for t1, (f, g) in zip(v.node, zip(v.follower, v.gap)):
-        assert t1 == pytest.approx(f + v.leader + g)
+    assert follower == pytest.approx(params.follower_init_norms)
+    assert leader == pytest.approx(2 * params.leader_init_norm)
+    assert gap == pytest.approx(np.array(params.initial_gaps) + residual)
+    assert node == pytest.approx(follower + leader + gap)
 
 
 def test_bounds_geometric_decay():
     spec = admissible_spec()
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
+    follower, leader, _, _ = envelopes(params, 13)
     for k in (0, 3, 11):
-        now = theoretical_bounds(params, k)
-        nxt = theoretical_bounds(params, k + 1)
         for a, sigma in enumerate(params.sigma_per_cluster):
-            assert nxt.follower[a] == pytest.approx(
-                now.follower[a] * (1 - params.gamma) * sigma)
-        assert nxt.leader == pytest.approx(now.leader * params.eta)
+            assert follower[k + 1, a] == pytest.approx(
+                follower[k, a] * (1 - params.gamma) * sigma)
+        assert leader[k + 1] == pytest.approx(leader[k] * params.eta)
 
 
 def test_bounds_gap_residual_floor():
@@ -180,8 +177,8 @@ def test_bounds_gap_residual_floor():
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
     residual = 2 * params.p_max * params.beta / params.gamma
-    far = theoretical_bounds(params, 5000)
-    for g in far.gap:
+    _, _, gap, _ = envelopes(params, 5001)
+    for g in gap[5000]:
         assert g == pytest.approx(residual, rel=1e-12)
 
 
@@ -189,34 +186,35 @@ def test_bounds_sum_identity():
     spec = admissible_spec()
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
+    follower, leader, gap, node = envelopes(params, 41)
     for k in (0, 1, 7, 40):
-        v = theoretical_bounds(params, k)
         for a in range(3):
-            assert v.node[a] == pytest.approx(
-                v.follower[a] + v.leader + v.gap[a], abs=1e-15)
+            assert node[k, a] == pytest.approx(
+                follower[k, a] + leader[k] + gap[k, a], abs=1e-15)
 
 
 def test_bounds_inapplicable_families_are_none():
     spec = admissible_spec(beta=0.5)
     network = build_clustered_network(spec)
-    v = theoretical_bounds(bound_params(network, spec), 10)
-    assert v.leader is None and v.node is None
-    assert v.follower is not None and v.gap is not None
+    follower, leader, gap, node = envelopes(bound_params(network, spec), 11)
+    assert leader is None and node is None
+    assert follower.shape == gap.shape == (11, 3)
 
     spec2 = admissible_spec(tau_intra=1)
     network2 = build_clustered_network(spec2)
-    v2 = theoretical_bounds(bound_params(network2, spec2), 10)
-    assert v2.follower is None and v2.gap is None and v2.node is None
-    assert v2.leader is not None
+    follower, leader, gap, node = envelopes(bound_params(network2, spec2), 11)
+    assert follower is None and gap is None and node is None
+    assert leader.shape == (11,)
 
 
 def test_bounds_reject_bad_iteration():
     spec = admissible_spec()
     params = bound_params(build_clustered_network(spec), spec)
     with pytest.raises(DomainError):
-        theoretical_bounds(params, -1)
+        envelopes(params, -1)
     with pytest.raises(DomainError):
-        theoretical_bounds(params, 1.5)
+        envelopes(params, 1.5)
+    assert all(v.shape[0] == 0 for v in envelopes(params, 0))
 
 
 # ---------------------------------------------------------------------
@@ -309,7 +307,7 @@ def test_verify_slack_is_honoured():
     network = build_clustered_network(spec)
     params = bound_params(network, spec)
     trace = run(network, spec)
-    theo = theoretical_bounds(params, 0).follower
+    theo = envelopes(params, 1)[0][0]
     # push cluster 0 exactly 0.4 above its envelope, leave the rest alone
     follower = trace.follower_disagreement.copy()
     follower[0, 0] = theo[0] + 0.4
@@ -350,7 +348,7 @@ def test_verify_counts_nan_as_failure():
 
 def test_violations_match_per_iteration_reference():
     """The whole-column verifier reports exactly the failing comparisons a
-    per-iteration loop over theoretical_bounds finds, in record order, then
+    per-iteration loop over the envelope table finds, in iteration order, then
     follower, gap, leader and node family, then cluster; and every envelope
     value equals the one-float-at-a-time reference."""
     spec = preset_small().replace(beta=0.02, gamma=0.45, max_iters=200)
@@ -374,18 +372,19 @@ def test_violations_match_per_iteration_reference():
         leader_follower_gap=gap, cluster_node_error=node)
     report = verify_bounds(doctored, params)
 
+    table = envelopes(params, len(doctored))
     expected = []
-    for rec in doctored.records:
-        v = theoretical_bounds(params, rec.k)
-        assert (v.follower, v.leader, v.gap, v.node) == oracle.envelopes(params, rec.k)
+    for k in range(len(doctored)):
+        v_follower, v_leader, v_gap, v_node = oracle.envelope_row(table, k)
+        assert (v_follower, v_leader, v_gap, v_node) == oracle.envelopes(params, k)
         rows = [("follower_disagreement", a, e, t) for a, (e, t) in
-                enumerate(zip(rec.follower_disagreement, v.follower))]
+                enumerate(zip(follower[k].tolist(), v_follower))]
         rows += [("leader_follower_gap", a, e, t) for a, (e, t) in
-                 enumerate(zip(rec.leader_follower_gap, v.gap))]
-        rows += [("leader_disagreement", None, rec.leader_disagreement, v.leader)]
+                 enumerate(zip(gap[k].tolist(), v_gap))]
+        rows += [("leader_disagreement", None, leader[k].item(), v_leader)]
         rows += [("node_error", a, e, t) for a, (e, t) in
-                 enumerate(zip(rec.cluster_node_error, v.node))]
-        expected += [{"k": rec.k, "family": family, "cluster": a,
+                 enumerate(zip(node[k].tolist(), v_node))]
+        expected += [{"k": k, "family": family, "cluster": a,
                       "empirical": e, "theoretical": t}
                      for family, a, e, t in rows if not e <= t + report.slack]
     data = report.to_dict()

@@ -2,6 +2,8 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -11,9 +13,9 @@ from cluster_consensus import (
     ScenarioSpec,
     bound_params,
     build_clustered_network,
+    envelopes,
     preset_small,
     run_until,
-    theoretical_bounds,
 )
 from cluster_consensus.cli import main, write_trace
 
@@ -94,11 +96,14 @@ def test_run_writes_trace_and_manifest(tmp_path):
     result = run_until(build_clustered_network(spec), spec)
     assert len(rows) == len(result.trace)
     # 17 significant digits must reproduce the library values bit-exactly
-    for cells, rec in zip(rows, result.trace.records):
-        assert int(cells[0]) == rec.k
+    trace = result.trace
+    for k, cells in enumerate(rows):
+        assert int(cells[0]) == k
         got = [float(c) for c in cells[1:]]
-        want = (list(rec.follower_disagreement) + [rec.leader_disagreement]
-                + list(rec.leader_follower_gap) + [rec.global_error])
+        want = (trace.follower_disagreement[k].tolist()
+                + [trace.leader_disagreement[k].item()]
+                + trace.leader_follower_gap[k].tolist()
+                + [trace.global_error[k].item()])
         assert got == want
 
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
@@ -173,7 +178,7 @@ def test_run_with_bounds_solves_each_spectrum_once(tmp_path, monkeypatch):
                          ids=["preset_small", "admissible_beta",
                               "inadmissible_beta", "tau_intra_2"])
 def test_run_bounds_cells_match_per_iteration_bounds(tmp_path, changes):
-    """Every envelope cell of the trace is theoretical_bounds at that row's
+    """Every envelope cell of the trace is the envelope table's row for that
     iteration, printed with 17 digits, and equals the one-float-at-a-time
     reference."""
     spec = preset_small().replace(max_iters=300, **changes)
@@ -186,12 +191,13 @@ def test_run_bounds_cells_match_per_iteration_bounds(tmp_path, changes):
     params = bound_params(build_clustered_network(spec), spec)
     first = header.index("L1_1")
     r = spec.cluster_count
+    table = envelopes(params, len(rows))
     for cells in rows:
         k = int(cells[0])
-        v = theoretical_bounds(params, k)
-        assert (v.follower, v.leader, v.gap, v.node) == oracle.envelopes(params, k)
+        follower, leader, gap, node = oracle.envelope_row(table, k)
+        assert (follower, leader, gap, node) == oracle.envelopes(params, k)
         want = ["NA" if x is None else format(x, ".17g")
-                for values, width in zip((v.follower, (v.leader,), v.gap, v.node),
+                for values, width in zip((follower, (leader,), gap, node),
                                          (r, 1, r, r))
                 for x in (values or (None,) * width)]
         assert cells[first:] == want, k
@@ -259,6 +265,23 @@ def test_preset_small_trace_digest(tmp_path):
     assert digest == PRESET_SMALL_TRACE_SHA256, (
         f"preset_small trace digest is {digest}; if intentional, disclose the "
         "byte move in CHANGES.md and update the digest")
+
+
+def test_document_with_retired_record_stride(tmp_path):
+    """Documents written by earlier versions carry "record_stride": 0; they
+    load and give the pinned trace.  A value those versions refused exits 3."""
+    data = preset_small().to_dict()
+    data["record_stride"] = 0
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(data, indent=2) + "\n")
+    trace_path = tmp_path / "small.csv"
+    assert main(["run", "--config", str(config), "--trace", str(trace_path)]) == 0
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    assert digest == PRESET_SMALL_TRACE_SHA256
+    for value in (-1, "x"):
+        data["record_stride"] = value
+        config.write_text(json.dumps(data))
+        assert main(["run", "--config", str(config), "--trace", str(trace_path)]) == 3
 
 
 # ---------------------------------------------------------------------
@@ -442,6 +465,41 @@ def test_leader_placement_other_than_first_is_config_error(tmp_path, capsys):
     config.write_text(json.dumps(data))
     assert main(["spectral", "--config", str(config)]) == 3
     assert "leader_placement" in capsys.readouterr().err
+
+
+def test_malformed_value_is_config_error(tmp_path, capsys):
+    config, spec = tiny_config(tmp_path)
+    data = spec.to_dict()
+    data["cluster_sizes"] = "abc"
+    config.write_text(json.dumps(data))
+    assert main(["spectral", "--config", str(config)]) == 3
+    assert "cluster_sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [
+    {"family": "geometric", "radius": 0.1, "cluster_sizes": [10**6 + 1]},
+    {"tau": 10**9},
+], ids=["million_geometric_followers", "tau_1e9"])
+def test_oversized_config_exits_before_allocating(tmp_path, capsys, changes):
+    """A scenario estimated to need more than MAX_PEAK_BYTES is refused with
+    exit 3 within a second, before anything large is allocated."""
+    data = preset_small().to_dict()
+    data.update(changes)
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code = main(["run", "--config", str(config),
+                     "--trace", str(tmp_path / "t.csv")])
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "GiB" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 4 << 20
 
 
 def test_impossible_topology_is_topology_error(tmp_path, capsys):

@@ -31,12 +31,17 @@ from cluster_consensus.engine import leader_step
 
 
 def global_state(network, state):
-    """Reassemble the engine's blocks into one (N, d) array."""
+    """Reassemble the engine's follower and leader stacks into one (N, d)
+    array indexed by global node id."""
     out = np.zeros((network.total_nodes, state.dimension))
-    for a, cl in enumerate(network.clusters):
-        out[list(cl.follower_ids)] = state.follower_blocks[a]
-        out[cl.leader_id] = state.leader_block[a]
+    out[[i for cl in network.clusters for i in cl.follower_ids]] = state.followers_at(0)
+    out[list(network.leader_ids)] = state.leaders_at(0)
     return out
+
+
+def cluster_blocks(state, followers):
+    """Split an (N_f, d) follower stack into its per-cluster blocks."""
+    return np.split(followers, state.starts[1:])
 
 
 def trajectory(network, spec, steps):
@@ -64,7 +69,7 @@ def test_history_rings(tiny_spec, tiny_network, tau, tau_intra):
     seen = []
     for k in range(3 * depth + 2):
         assert state.k == k
-        seen.append((state.followers_at(0).copy(), state.leader_block.copy()))
+        seen.append((state.followers_at(0).copy(), state.leaders_at(0).copy()))
         for t in range(depth):
             past = seen[max(k - t, 0)]
             assert state.leaders_at(t).tobytes() == past[1].tobytes()
@@ -99,8 +104,6 @@ def test_init_state_promotes_vector(tiny_network):
     vals = np.arange(12, dtype=float)
     state = init_state(tiny_network, vals, tau=0)
     assert state.dimension == 1
-    assert state.leader_block[0, 0] == 0.0
-    assert state.follower_blocks[0][:, 0].tolist() == [1.0, 2.0, 3.0]
     assert state.followers_at(0)[:, 0].tolist() == [1, 2, 3, 5, 6, 7, 9, 10, 11]
     assert state.leaders_at(0)[:, 0].tolist() == [0, 4, 8]
 
@@ -201,10 +204,10 @@ def test_beta_one_pure_mixing(tiny_spec, tiny_network):
     # with beta = 1 and tau = 0 the leaders apply the mixing matrix directly
     init = sample_initial_values(tiny_spec, 12)
     state = init_state(tiny_network, init, tau=0)
-    before = state.leader_block.copy()
+    before = state.leaders_at(0).copy()
     advance(tiny_network, state, StepSizes(0.5, 1.0))
     v = tiny_network.leader_schedule.matrix_at(0).entries
-    assert np.allclose(state.leader_block, v @ before, atol=1e-14)
+    assert np.allclose(state.leaders_at(0), v @ before, atol=1e-14)
 
 
 # ---------------------------------------------------------------------
@@ -215,7 +218,7 @@ def reference_follower_step(network, state, cluster_index, gamma):
     """Per-node accumulation over the neighbour list, one follower at a time."""
     cluster = network.clusters[cluster_index]
     w = cluster.follower_weights.entries
-    block = state.followers_at(state.tau_intra)[state.rows[cluster_index]]
+    block = cluster_blocks(state, state.followers_at(state.tau_intra))[cluster_index]
     lead = state.leaders_at(state.tau_intra)[cluster_index]
     new = np.empty_like(block)
     for i in range(block.shape[0]):
@@ -228,7 +231,7 @@ def reference_follower_step(network, state, cluster_index, gamma):
 
 def reference_leader_step(state, beta, weights):
     """Per-node accumulation over the leader neighbour list."""
-    current = state.leader_block
+    current = state.leaders_at(0)
     delayed = state.leaders_at(state.tau)
     v = weights.entries
     new = np.empty_like(current)
@@ -247,8 +250,8 @@ FAMILIES = ("follower_disagreement", "leader_disagreement", "leader_follower_gap
 def reference_diagnostics(state):
     """The error families computed cluster by cluster with mean and
     np.linalg.norm."""
-    blocks = state.follower_blocks
-    leaders = state.leader_block
+    blocks = cluster_blocks(state, state.followers_at(0))
+    leaders = state.leaders_at(0)
     lead_avg = leaders.mean(axis=0)
     follower_dis = []
     gaps = []
@@ -272,10 +275,10 @@ def reference_diagnostics(state):
 
 def reference_stopping_metric(state):
     """Largest follower-to-leader distance, cluster by cluster."""
-    leaders = state.leader_block
+    leaders = state.leaders_at(0)
     return max(
         float(np.linalg.norm(block - leaders[a], axis=1).max())
-        for a, block in enumerate(state.follower_blocks)
+        for a, block in enumerate(cluster_blocks(state, state.followers_at(0)))
     )
 
 
@@ -293,9 +296,9 @@ def assert_sweep_matches_reference(network, state, sizes):
     reductions, in another order than mean and np.linalg.norm, so they
     agree with the per-cluster reference to rounding."""
     new = advance(network, state.copy(), sizes).followers_at(0)
-    for a, rows in enumerate(state.rows):
+    for a, got in enumerate(cluster_blocks(state, new)):
         want = reference_follower_step(network, state, a, sizes.gamma)
-        assert new[rows].tobytes() == want.tobytes(), f"cluster {a}"
+        assert got.tobytes() == want.tobytes(), f"cluster {a}"
     assert_records_close(diagnostics(state), reference_diagnostics(state), 1e-13)
     assert repr(stopping_metric(state)) == repr(reference_stopping_metric(state))
 
@@ -352,28 +355,26 @@ def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
     init = sample_initial_values(spec, network.total_nodes)
     state = init_state(network, init, spec.tau, spec.tau_intra)
     sizes = StepSizes(spec.gamma, spec.beta)
+    ref = oracle.simulate_dense(network, init, spec.gamma, spec.beta, spec.tau,
+                                spec.tau_intra, steps=spec.max_iters)
     stepped = []
-    for _ in range(spec.max_iters):
+    for k, want in enumerate(ref):
+        got = global_state(network, state)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), f"step {k}"
+        stepped.append(diagnostics(state))
+        if k == spec.max_iters:
+            break
         assert_sweep_matches_reference(network, state, sizes)
         v_k = network.leader_schedule.matrix_at(state.k)
         got = leader_step(state, spec.beta, v_k)
         assert got.tobytes() == reference_leader_step(state, spec.beta, v_k).tobytes()
-        stepped.append(repr(diagnostics(state)))
         advance(network, state, sizes)
-    stepped.append(repr(diagnostics(state)))
 
-    trace = run(network, spec.replace(record_stride=1))
     # diagnostics of one state is the traced row of its iteration, bit for bit
-    assert [repr(rec) for rec in trace.records] == stepped
-    ref = oracle.simulate_dense(network, init, spec.gamma, spec.beta, spec.tau,
-                                spec.tau_intra, steps=spec.max_iters)
-    for k, want in enumerate(ref):
-        blocks, leaders = trace.raw_states[k]
-        got = np.zeros_like(want)
-        for a, cl in enumerate(network.clusters):
-            got[list(cl.follower_ids)] = blocks[a]
-            got[cl.leader_id] = leaders[a]
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12), f"step {k}"
+    trace = run(network, spec)
+    for name, column in zip(FAMILIES, trace.columns):
+        want = np.array([getattr(rec, name) for rec in stepped])
+        assert column.tobytes() == want.tobytes(), name
 
 
 def sweep_against_reference(spec, steps):
@@ -525,31 +526,17 @@ def test_run_records_match_reference(tiny_spec, tiny_network):
     init = sample_initial_values(tiny_spec, 12)
     ref = oracle.simulate_dense(tiny_network, init, tiny_spec.gamma,
                                tiny_spec.beta, tiny_spec.tau, steps=20)
-    for rec, s in zip(trace.records, ref):
-        assert rec.leader_disagreement == pytest.approx(
+    assert len(trace) == len(ref)
+    for k, s in enumerate(ref):
+        assert trace.leader_disagreement[k] == pytest.approx(
             oracle.leader_disagreement(tiny_network, s), abs=1e-12)
-        assert list(rec.leader_follower_gap) == pytest.approx(
+        assert trace.leader_follower_gap[k] == pytest.approx(
             oracle.leader_follower_gaps(tiny_network, s), abs=1e-12)
-        assert list(rec.follower_disagreement) == pytest.approx(
+        assert trace.follower_disagreement[k] == pytest.approx(
             oracle.follower_disagreements(tiny_network, s), abs=1e-12)
-        assert list(rec.cluster_node_error) == pytest.approx(
+        assert trace.cluster_node_error[k] == pytest.approx(
             oracle.node_errors(tiny_network, s), abs=1e-12)
-        assert rec.global_error >= max(rec.cluster_node_error)
-
-
-def test_record_stride_snapshots(tiny_spec, tiny_network):
-    spec = tiny_spec.replace(max_iters=12, record_stride=5)
-    trace = run(tiny_network, spec)
-    assert sorted(trace.raw_states) == [0, 5, 10]
-    blocks, leaders = trace.raw_states[0]
-    init = sample_initial_values(spec, 12)
-    assert np.array_equal(leaders, init[[0, 4, 8]])
-    assert np.array_equal(blocks[0], init[[1, 2, 3]])
-
-
-def test_no_snapshots_by_default(tiny_spec, tiny_network):
-    trace = run(tiny_network, tiny_spec.replace(max_iters=5))
-    assert trace.raw_states is None
+        assert trace.global_error[k] >= trace.cluster_node_error[k].max()
 
 
 def test_stopping_metric_matches_reference(tiny_spec, tiny_network):
@@ -607,8 +594,8 @@ def test_run_until_threshold_override(tiny_spec, tiny_network):
 def test_run_until_prefix_of_run(tiny_spec, tiny_network):
     until = run_until(tiny_network, tiny_spec)
     full = run(tiny_network, tiny_spec.replace(max_iters=len(until.trace)))
-    for a, b in zip(until.trace.records, full.records):
-        assert a == b
+    for a, b in zip(until.trace.columns, full.columns):
+        assert np.array_equal(a, b[:len(a)])
 
 
 # ---------------------------------------------------------------------
@@ -694,13 +681,13 @@ def test_state_copy_is_independent(tiny_spec, tiny_network):
         for _ in range(5):
             advance(tiny_network, state, sizes)
         frozen = state.copy()
-        mark = frozen.leader_block.copy()
+        mark = frozen.leaders_at(0).copy()
         for t in range(max(frozen.tau, tau_intra) + 1):
             assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
         for t in range(tau_intra + 1):
             assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
         advance(tiny_network, state, sizes)
-        assert np.array_equal(frozen.leader_block, mark)
+        assert np.array_equal(frozen.leaders_at(0), mark)
         assert frozen.k == 5 and state.k == 6
         # the copy continues exactly like the original would have
         advance(tiny_network, frozen, sizes)

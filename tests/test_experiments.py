@@ -76,11 +76,6 @@ def test_tau_sweep_single_row_has_no_fit():
     assert result.fit is None
 
 
-def test_tau_sweep_fit_can_be_disabled():
-    result = tau_sweep(small_base(), [0, 2, 4], fit=False)
-    assert result.fit is None
-
-
 def test_tau_sweep_capped_rows():
     result = tau_sweep(small_base(max_iters=2), [0, 2])
     assert result.all_capped

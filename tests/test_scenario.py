@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -41,7 +42,19 @@ def test_cluster_sizes_become_tuple():
     ("cluster_sizes", (5, 0)),
     ("family", "torus"),
     ("leader_graph", "star"),
-    ("record_stride", -1),
+    ("cluster_sizes", "abc"),
+    ("cluster_sizes", 5),
+    ("cluster_sizes", [20.9, 20]),
+    ("radius", "x"),
+    ("threshold", "x"),
+    ("init_low", "a"),
+    ("init_high", math.inf),
+    ("init_low", -math.inf),
+    ("beta", True),
+    ("tau", True),
+    ("seed", 1.0),
+    ("cluster_edges", ([(0, "a")], [(0, 1)])),
+    ("leader_edges", [(0, 1.5)]),
 ])
 def test_rejects_bad_field(field, value):
     with pytest.raises(ConfigError) as err:
@@ -63,6 +76,8 @@ def test_explicit_requires_edges():
 def test_init_range_ordering():
     with pytest.raises(ConfigError):
         make_spec(init_low=2.0, init_high=-2.0)
+    with pytest.raises(ConfigError):        # the width overflows to inf
+        make_spec(init_low=-1e308, init_high=1e308)
 
 
 def test_round_trip_through_json():
@@ -138,4 +153,21 @@ def test_from_dict_rejects_other_leader_placement():
     data = make_spec().to_dict()
     data["leader_placement"] = "last"
     with pytest.raises(ConfigError, match="leader_placement"):
+        ScenarioSpec.from_dict(data)
+
+
+def test_from_dict_drops_non_negative_record_stride():
+    spec = make_spec()
+    assert "record_stride" not in spec.to_dict()
+    for stride in (0, 5):                  # written by earlier versions
+        data = spec.to_dict()
+        data["record_stride"] = stride
+        assert ScenarioSpec.from_dict(data) == spec
+
+
+@pytest.mark.parametrize("value", [-1, "x", 1.5, True])
+def test_from_dict_rejects_bad_record_stride(value):
+    data = make_spec().to_dict()
+    data["record_stride"] = value
+    with pytest.raises(ConfigError, match="record_stride"):
         ScenarioSpec.from_dict(data)

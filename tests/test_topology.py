@@ -103,7 +103,7 @@ def test_geometric_graph_deterministic():
 
 def test_geometric_graph_gives_up():
     with pytest.raises(ConstructionError):
-        geometric_graph(12, 1e-6, np.random.default_rng(0), max_attempts=5)
+        geometric_graph(12, 1e-6, np.random.default_rng(0))
 
 
 def test_geometric_radius_positive():

@@ -9,20 +9,24 @@ d-dimensional row vectors: all followers in one array stacked cluster by
 cluster, all leaders in another, each kept in a ring of recent iterations
 deep enough for the delays that read it.
 
-A sweep updates every follower of every cluster in one gather-sum over the
-network's block-diagonal neighbour table (`ClusteredNetwork.mix_followers`)
-and gives each row its own leader's state through the per-row cluster index
-`NetworkState.owner`; there is no per-cluster follower step.  The leaders
-mix through `WeightMatrix.mix` over the same kind of table.  Both sum each
-row in neighbour-list order, so every value equals the per-node
-accumulation bit for bit.  The stopping metric is one reduction over all
-follower rows.
+A sweep costs a fixed number of numpy calls, whatever the degrees and the
+number of clusters.  Every follower of every cluster is updated in one
+gather-sum over the network's block-diagonal neighbour table
+(`ClusteredNetwork.mix_followers`), and each row gets its own leader's state
+through the per-row cluster index `NetworkState.owner`; the leaders mix
+through `WeightMatrix.mix` over the same kind of table.  Each table holds a
+row's diagonal in slot 0 and its neighbours after it, and one reduction
+over the slots sums each row in that order, so every value equals the
+per-node accumulation bit for bit.  The new states are written straight
+into the ring slots of the next iteration.
 
-The run driver evaluates the error families of a whole block of iterations
-at once, reading the block's states straight from the rings
-(`NetworkState.block_states`), and writes them into the columns of a
-`Trace`; no Python object is built per iteration.  The test suite checks
-the updates against the per-node form and against an independent dense
+The run driver sweeps a block of iterations back to back and then
+evaluates the block at once, reading its states straight from the rings
+(`NetworkState.block_states`): the stopping metric of every iteration in
+one reduction, and every error family, written into the columns of a
+`Trace`.  No Python object is built per iteration.  The test suite checks
+the updates against the per-node form, the block-wise stopping rule
+against a check after every sweep, and both against an independent dense
 matrix-form evaluation of the same equations.
 """
 
@@ -75,15 +79,13 @@ class NetworkState:
     t iterations ago, t = 0 the current ones.  Both return views into the
     rings, which later iterations overwrite, so a caller copies what it
     keeps.  owner[i] is the cluster of follower row i and starts[a] the
-    first row of cluster a.  p_max is the largest initial per-node norm;
-    the protocol keeps every node inside that ball.
+    first row of cluster a.
     """
 
-    def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra, p_max):
+    def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra):
         self.tau = int(tau)
         self.tau_intra = int(tau_intra)
         self.k = 0
-        self.p_max = float(p_max)
         self.owner = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
         self.starts = np.cumsum([0] + list(cluster_sizes[:-1]))
         sweep_bytes = followers.nbytes + leaders.nbytes
@@ -121,12 +123,6 @@ class NetworkState:
                               f"block of {self.block}")
         return tuple(ring[first % len(ring):][:n]
                      for ring in (self._followers, self._leaders))
-
-    def push(self, followers: np.ndarray, leaders: np.ndarray):
-        """Store the states of iteration k + 1 and move to it."""
-        self.k += 1
-        self._followers[self.k % len(self._followers)] = followers
-        self._leaders[self.k % len(self._leaders)] = leaders
 
     def copy(self) -> "NetworkState":
         other = copy.copy(self)
@@ -199,10 +195,9 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
             raise DomainError(f"{name} must be a non-negative integer, got {delay!r}")
     followers = vals[[i for c in network.clusters for i in c.follower_ids]]
     leaders = vals[[c.leader_id for c in network.clusters]]
-    p_max = float(np.linalg.norm(vals, axis=1).max())
     return NetworkState(
         followers, leaders, [len(c.follower_ids) for c in network.clusters],
-        tau, tau_intra, p_max,
+        tau, tau_intra,
     )
 
 
@@ -210,30 +205,36 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
 # one-step updates
 # ---------------------------------------------------------------------
 
-def leader_step(state: NetworkState, beta: float, weights) -> np.ndarray:
-    """New leader block; neighbour states are read through the tau delay.
+def leader_step(state: NetworkState, beta: float, weights, out=None) -> np.ndarray:
+    """New leader block, written into `out` when given; neighbour states
+    are read through the tau delay.
 
     The own state enters twice: undelayed through the (1 - beta) hold and
     delayed through the mixing matrix diagonal.
     """
     current = state.leaders_at(0)
     delayed = state.leaders_at(state.tau)
-    return (1.0 - beta) * current + beta * weights.mix(delayed)
+    return np.add((1.0 - beta) * current, beta * weights.mix(delayed), out=out)
 
 
 def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
-    """One synchronous sweep: all blocks update from pre-step values.
+    """One synchronous sweep: all blocks update from pre-step values, and
+    the new states go straight into the ring slots of iteration k + 1.
 
     Each follower keeps (1 - gamma) of its neighbourhood average and moves
     gamma towards its own leader, both read tau_intra iterations ago.
+    Every term is computed before its slot is written, so a slot that is
+    read in the same sweep (a ring as deep as the delay) is safe.
     """
     v_k = network.leader_schedule.matrix_at(state.k)
-    stale = state.followers_at(state.tau_intra)
-    lead = state.leaders_at(state.tau_intra)[state.owner]
-    new_followers = ((1.0 - steps.gamma) * network.mix_followers(stale)
-                     + steps.gamma * lead)
-    new_leaders = leader_step(state, steps.beta, v_k)
-    state.push(new_followers, new_leaders)
+    followers, leaders = state._followers, state._leaders
+    stale = followers[(state.k - state.tau_intra) % len(followers)]
+    lead = leaders[(state.k - state.tau_intra) % len(leaders)].take(state.owner, axis=0)
+    after = state.k + 1
+    np.add((1.0 - steps.gamma) * network.mix_followers(stale), steps.gamma * lead,
+           out=followers[after % len(followers)])
+    leader_step(state, steps.beta, v_k, out=leaders[after % len(leaders)])
+    state.k = after
     return state
 
 
@@ -241,14 +242,26 @@ def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
 # run driver
 # ---------------------------------------------------------------------
 
+def _stopping_block(followers, leaders, owner) -> np.ndarray:
+    """Stopping metric of each of n iterations, from their (n, N_f, d)
+    follower and (n, r, d) leader stacks."""
+    return _row_norms(followers - leaders.take(owner, axis=1)).max(axis=1)
+
+
 def _drive(network, spec, until: bool) -> RunResult:
     """Record diagnostics at every iteration from 0 and sweep until
     spec.max_iters; with `until`, stop at a confirmed settling iteration
     (see run_until).
 
-    The diagnostics of a block of state.block iterations are evaluated
-    together once its last iteration is in the rings, and those of the
-    last, possibly partial, block when the run ends.
+    The sweeps of a block of state.block iterations run back to back.  Once
+    the block's last iteration is in the rings, or spec.max_iters is, the
+    driver evaluates the block: with `until`, the stopping metric of every
+    iteration in one reduction, scanned for the confirmation window (a
+    candidate carries over from block to block); then every error family,
+    cut at the iteration where the run ends.  A run that stops inside a
+    block has swept up to the block's end, at most state.block - 1
+    iterations more than it records; the result holds no state, so those
+    sweeps change nothing that the caller sees.
     """
     state = init_state(
         network, sample_initial_values(spec, network.total_nodes),
@@ -260,26 +273,32 @@ def _drive(network, spec, until: bool) -> RunResult:
     first = 0              # first iteration of the block being filled
     candidate = None
     while True:
+        last = min(first + state.block - 1, spec.max_iters)
+        while state.k < last:
+            advance(network, state, steps)
+        followers, leaders = state.block_states(first)
         outcome = None
         if until:
-            if stopping_metric(state) <= spec.threshold:
+            metric = _stopping_block(followers, leaders, state.owner)
+            for k, value in enumerate(metric.tolist(), first):
+                if value > spec.threshold:
+                    candidate = None
+                    continue
                 if candidate is None:
-                    candidate = state.k
-                if state.k - candidate + 1 >= window:
-                    outcome = (True, candidate)
-            else:
-                candidate = None
-        if outcome is None and state.k >= spec.max_iters:
+                    candidate = k
+                if k - candidate + 1 >= window:
+                    outcome, last = (True, candidate), k
+                    break
+        if outcome is None and last == spec.max_iters:
             outcome = (False, spec.max_iters)
-        if outcome is not None or state.k - first + 1 == state.block:
-            blocks.append(_diagnostics_block(*state.block_states(first),
-                                             state.starts, state.owner))
-            first = state.k + 1
+        n = last - first + 1
+        blocks.append(_diagnostics_block(followers[:n], leaders[:n],
+                                         state.starts, state.owner))
         if outcome is not None:
             trace = Trace(spec.fingerprint(),
                           *(np.concatenate(c) for c in zip(*blocks)))
             return RunResult(*outcome, trace)
-        advance(network, state, steps)
+        first = last + 1
 
 
 def run(network, spec) -> Trace:
@@ -288,9 +307,10 @@ def run(network, spec) -> Trace:
 
 
 def stopping_metric(state: NetworkState) -> float:
-    """Largest distance from any follower to its own leader."""
-    dev = state.followers_at(0) - state.leaders_at(0)[state.owner]
-    return float(_row_norms(dev).max())
+    """Largest distance from any follower to its own leader: the block
+    evaluation of the run driver, applied to the current iteration alone."""
+    return float(_stopping_block(state.followers_at(0)[None],
+                                 state.leaders_at(0)[None], state.owner)[0])
 
 
 def run_until(network, spec) -> RunResult:
@@ -304,5 +324,10 @@ def run_until(network, spec) -> RunResult:
     the metric can touch the threshold long before the network settles.
     Cap exhaustion (no confirmed crossing within spec.max_iters sweeps) is
     reported through converged=False, not as an error.
+
+    The rule is checked once per diagnostics block (see _drive), on the
+    same per-iteration values as stopping_metric, so the outcome and the
+    trace equal those of a check after every sweep; the sweeps the driver
+    runs past the stop, to the end of its block, are not visible.
     """
     return _drive(network, spec, until=True)

@@ -8,6 +8,13 @@ doubly stochastic matrix with a positive diagonal.  The convergence theory
 consumes two spectral quantities computed here: the second largest singular
 value sigma_a of each follower matrix and the worst-case counterpart delta_c
 of the leader schedule.
+
+The engine applies the matrices through padded neighbour tables in ELLPACK
+form: slot 0 of each row holds the row's own diagonal entry and the slots
+after it its neighbours in ascending order, so a single reduction over the
+slots sums each row in the per-node order, at a cost in numpy calls that
+does not depend on the degree.  A graph searches its connectivity once and
+keeps the answer.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ class AdjacencyGraph:
         return np.array([len(n) for n in self._adjacency], dtype=int)
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         seen = {0}
         stack = [0]
         while stack:
@@ -257,11 +268,11 @@ def _ellpack(blocks) -> tuple:
     """Padded neighbour table in ELLPACK form (Bell & Garland, SC'09) of the
     block-diagonal matrix with the given square blocks.
 
-    Returns the diagonal (n, 1), the neighbour ids (width, n) and their
-    weights (width, n, 1), where n is the total size and width the largest
-    row degree.  Slot s of row i holds the s-th neighbour of i in ascending
-    order, ids shifted by the offset of i's block; rows with fewer
-    neighbours are padded with index 0 and weight 0.0.
+    Returns the ids (width + 1, n) and the weights (width + 1, n, 1), where
+    n is the total size and width the largest row degree.  Slot 0 of row i
+    holds i itself with weight w_ii; slot s >= 1 holds the s-th neighbour
+    of i in ascending order, ids shifted by the offset of i's block.  Rows
+    with fewer neighbours are padded with index 0 and weight 0.0.
     """
     rows, cols, values = [], [], []
     offset = 0
@@ -276,28 +287,30 @@ def _ellpack(blocks) -> tuple:
     rows, cols, values = map(np.concatenate, (rows, cols, values))
     counts = np.bincount(rows, minlength=offset)
     width = int(counts.max()) if rows.size else 0
-    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    index = np.zeros((width, offset), dtype=np.intp)
-    weight = np.zeros((width, offset, 1))
+    slots = 1 + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    index = np.zeros((width + 1, offset), dtype=np.intp)
+    weight = np.zeros((width + 1, offset, 1))
+    index[0] = np.arange(offset)
+    weight[0, :, 0] = np.concatenate([np.diagonal(w) for w in blocks])
     index[slots, rows] = cols
     weight[slots, rows, 0] = values
-    return np.concatenate([np.diagonal(w) for w in blocks])[:, None], index, weight
+    return index, weight
 
 
 def _gather_sum(table, x: np.ndarray) -> np.ndarray:
     """Apply a neighbour table to an (n, d) stack of row states, summing
-    each row in the order diagonal, then neighbours by ascending id.
+    each row in slot order: diagonal, then neighbours by ascending id.
 
-    The order makes every row bit-identical to the per-node sum
-    w_ii x_i + sum_j w_ij x_j over the neighbour list; a padding slot adds
-    a zero, which can only turn a -0.0 row into +0.0.
+    One reduction over the outer axis of the C-contiguous (width + 1, n, d)
+    stack of terms adds the slots one after the other, element by element,
+    so every row is bit-identical to the per-node sum
+    w_ii x_i + sum_j w_ij x_j over the neighbour list.  The reduction
+    starts from -0.0, which leaves the first term as it is; a padding slot
+    adds a zero, which can only turn a -0.0 row into +0.0.  (numpy would
+    sum pairwise only for n * d = 1, and a table of one row has width 0.)
     """
-    diag, index, weight = table
-    terms = weight * x[index]
-    acc = diag * x
-    for term in terms:
-        acc += term
-    return acc
+    index, weight = table
+    return np.add.reduce(weight * x.take(index, axis=0), axis=0, initial=-0.0)
 
 
 def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
@@ -316,8 +329,9 @@ def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
     n = graph.node_count
     deg = graph.degrees()
     w = np.zeros((n, n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    if graph.edges:
+        i, j = np.array(list(graph.edges)).T
+        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     diag = 1.0 - w.sum(axis=1)
     assert np.all(diag > 0), "max-degree rule produced a non-positive diagonal"
     w[np.diag_indices(n)] = diag

@@ -26,7 +26,7 @@ from cluster_consensus import (
     spectral_summary,
     stopping_metric,
 )
-from cluster_consensus import engine
+from cluster_consensus import engine, topology
 from cluster_consensus.engine import leader_step
 
 
@@ -106,13 +106,6 @@ def test_init_state_promotes_vector(tiny_network):
     assert state.dimension == 1
     assert state.followers_at(0)[:, 0].tolist() == [1, 2, 3, 5, 6, 7, 9, 10, 11]
     assert state.leaders_at(0)[:, 0].tolist() == [0, 4, 8]
-
-
-def test_init_state_p_max(tiny_network):
-    vals = np.zeros((12, 2))
-    vals[5] = (3.0, 4.0)
-    state = init_state(tiny_network, vals, tau=2)
-    assert state.p_max == pytest.approx(5.0)
 
 
 def test_init_state_shape_mismatch(tiny_network):
@@ -377,6 +370,87 @@ def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
         assert column.tobytes() == want.tobytes(), name
 
 
+def reference_block_sum(blocks, x):
+    """Per-node accumulation w_ii x_i + sum_j w_ij x_j over each row's
+    non-zero off-diagonal entries in ascending column order, block by
+    block: the witness of the order in which the gather-sum adds."""
+    out = np.empty_like(x)
+    offset = 0
+    for w in blocks:
+        for i in range(len(w)):
+            acc = w[i, i] * x[offset + i]
+            for j in np.flatnonzero(w[i]):
+                if j != i:
+                    acc += w[i, j] * x[offset + j]
+            out[offset + i] = acc
+        offset += len(w)
+    return out
+
+
+def states_for(blocks, d, rng, negative_zero):
+    """Row states over many magnitudes; with negative_zero, row 0 and every
+    row of the last block are -0.0, so the last block's sums are -0.0 and
+    every padding term (index 0, weight 0.0) is -0.0 as well."""
+    n = sum(len(w) for w in blocks)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 6, (n, d))
+    if negative_zero:
+        x[0] = x[n - len(blocks[-1]):] = -0.0
+    return x
+
+
+def assert_gather_sum_matches(blocks, x, width):
+    index, weight = table = topology._ellpack(blocks)
+    assert index.shape == (width + 1, len(x)) and weight.shape == (width + 1, len(x), 1)
+    got = topology._gather_sum(table, x)
+    assert got.tobytes() == reference_block_sum(blocks, x).tobytes()
+
+
+@st.composite
+def neighbour_blocks(draw, width):
+    """One to three square blocks whose rows have at most `width` non-zero
+    off-diagonal entries, row 0 exactly `width`, with weights spread over
+    many magnitudes, and a generator for the states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for b in range(draw(st.integers(1, 3))):
+        low = width + 1 if b == 0 else 1
+        n = draw(st.integers(low, width + 3))
+        w = np.diag(rng.uniform(0.05, 1.0, n))
+        for i in range(n):
+            degree = (width if b == i == 0
+                      else int(rng.integers(0, min(width, n - 1) + 1)))
+            cols = rng.choice(np.delete(np.arange(n), i), size=degree, replace=False)
+            w[i, cols] = (rng.uniform(0.05, 1.0, degree)
+                          * 10.0 ** rng.integers(-6, 3, degree))
+        blocks.append(w)
+    return blocks, rng
+
+
+@pytest.mark.parametrize("negative_zero", [False, True], ids=["signed", "minus-zero"])
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 33])
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_gather_sum_matches_per_node_loop(width, d, negative_zero, data):
+    """One reduction over the slots of the diagonal-first table adds every
+    row in the per-node order, to the bit, at widths on both sides of
+    numpy's 8-way pairwise summation."""
+    blocks, rng = data.draw(neighbour_blocks(width))
+    assert_gather_sum_matches(blocks, states_for(blocks, d, rng, negative_zero), width)
+
+
+@pytest.mark.parametrize("negative_zero", [False, True], ids=["signed", "minus-zero"])
+@pytest.mark.parametrize("sizes,d,width", [
+    ((1,), 1, 0), ((1,), 2, 0), ((2,), 1, 1), ((1, 1), 1, 0),
+], ids=["1x1", "1x2", "2x1-linked", "2x1-apart"])
+def test_gather_sum_tiny_stacks(sizes, d, width, negative_zero):
+    """N * d of 1 and 2: the stacks on which numpy could reduce along the
+    slots in its innermost loop."""
+    rng = np.random.default_rng(sum(sizes) + d)
+    blocks = [np.full((n, n), 0.5) for n in sizes]
+    assert_gather_sum_matches(blocks, states_for(blocks, d, rng, negative_zero), width)
+
+
 def sweep_against_reference(spec, steps):
     network = build_clustered_network(spec)
     init = sample_initial_values(spec, network.total_nodes)
@@ -402,10 +476,12 @@ def test_sweep_single_follower_clusters(sizes, edges, width, tau_intra):
                         gamma=0.4, beta=0.3, tau=2, tau_intra=tau_intra, d=2,
                         seed=5, max_iters=10)
     network = sweep_against_reference(spec, 30)
-    diag, index, weight = network._follower_table
+    index, weight = network._follower_table
     followers = sum(sizes) - len(sizes)
-    assert diag.shape == (followers, 1)
-    assert index.shape == (width, followers) and weight.shape == (width, followers, 1)
+    # slot 0 is each row's diagonal, the neighbour slots follow it
+    assert index[0].tolist() == list(range(followers))
+    assert index.shape == (width + 1, followers)
+    assert weight.shape == (width + 1, followers, 1)
 
 
 def test_sweep_pads_clusters_of_different_degree():
@@ -414,9 +490,12 @@ def test_sweep_pads_clusters_of_different_degree():
                         cluster_edges=(ring_edges(5), complete, [(0, 1), (1, 2)]),
                         gamma=0.6, beta=0.2, tau=3, d=3, seed=9, max_iters=10)
     network = sweep_against_reference(spec, 30)
-    _, index, weight = network._follower_table
-    assert index.shape == (8, 17)
-    # each row fills as many leading slots as it has neighbours; the rest is padding
+    index, weight = network._follower_table
+    assert index.shape == (9, 17)
+    assert index[0].tolist() == list(range(17)) and (weight[0] > 0.0).all()
+    # after the diagonal slot, each row fills as many leading slots as it
+    # has neighbours; the rest is padding
+    index, weight = index[1:], weight[1:]
     filled = weight[..., 0] != 0.0
     assert filled.sum(axis=0).tolist() == [2] * 5 + [8] * 9 + [1, 2, 1]
     assert (filled == (np.arange(8)[:, None] < filled.sum(axis=0))).all()
@@ -427,7 +506,7 @@ def test_sweep_many_clusters():
     spec = ScenarioSpec(family="geometric", cluster_sizes=(21,) * 200, radius=0.6,
                         gamma=0.5, beta=0.05, tau=5, seed=3, max_iters=10)
     network = sweep_against_reference(spec, 4)
-    assert network._follower_table[0].shape == (4000, 1)
+    assert network._follower_table[0][0].tolist() == list(range(4000))
 
 
 def test_follower_table_built_once_on_first_sweep(tiny_spec):
@@ -596,6 +675,127 @@ def test_run_until_prefix_of_run(tiny_spec, tiny_network):
     full = run(tiny_network, tiny_spec.replace(max_iters=len(until.trace)))
     for a, b in zip(until.trace.columns, full.columns):
         assert np.array_equal(a, b[:len(a)])
+
+
+class SettlingRule:
+    """run_until's confirmation rule fed one iteration at a time; keeps the
+    iterations at which a candidate starts and at which one is reset."""
+
+    def __init__(self, threshold, window):
+        self.threshold, self.window = threshold, window
+        self.candidate = None
+        self.starts, self.resets = [], []
+
+    def confirmed(self, k, value) -> bool:
+        if value > self.threshold:
+            if self.candidate is not None:
+                self.resets.append(k)
+            self.candidate = None
+            return False
+        if self.candidate is None:
+            self.candidate = k
+            self.starts.append(k)
+        return k - self.candidate + 1 >= self.window
+
+
+def per_sweep_run_until(network, spec):
+    """run_until with the rule checked by stopping_metric after every sweep
+    and the diagnostics taken one iteration at a time.  Returns
+    (converged, iterations), the five columns and the rule."""
+    state = init_state(network, sample_initial_values(spec, network.total_nodes),
+                       spec.tau, spec.tau_intra)
+    sizes = StepSizes(spec.gamma, spec.beta)
+    rule = SettlingRule(spec.threshold, max(spec.tau, spec.tau_intra) + 1)
+    records = []
+    while True:
+        records.append(diagnostics(state))
+        if rule.confirmed(state.k, stopping_metric(state)):
+            outcome = (True, rule.candidate)
+            break
+        if state.k >= spec.max_iters:
+            outcome = (False, spec.max_iters)
+            break
+        advance(network, state, sizes)
+    columns = [np.array([getattr(rec, name) for rec in records]) for name in FAMILIES]
+    return outcome, columns, rule
+
+
+def metric_sequence(network, spec):
+    """stopping_metric at iterations 0..spec.max_iters."""
+    state = init_state(network, sample_initial_values(spec, network.total_nodes),
+                       spec.tau, spec.tau_intra)
+    sizes = StepSizes(spec.gamma, spec.beta)
+    out = [stopping_metric(state)]
+    for _ in range(spec.max_iters):
+        advance(network, state, sizes)
+        out.append(stopping_metric(state))
+    return out
+
+
+def threshold_where(metrics, window, wanted):
+    """The smallest threshold at which the rule confirms on `metrics` with
+    wanted(rule, stop) true, stop being the confirming iteration."""
+    for threshold in sorted(set(metrics)):
+        rule = SettlingRule(threshold, window)
+        for k, value in enumerate(metrics):
+            if rule.confirmed(k, value):
+                if wanted(rule, k):
+                    return threshold
+                break
+    raise AssertionError("no threshold gives the wanted case")
+
+
+STOP_BASE = ScenarioSpec(family="ring", cluster_sizes=(5, 6, 5), gamma=0.3, beta=0.1,
+                         tau=3, seed=4, max_iters=400)
+
+# (spec fields, how the threshold is chosen: a fixed value or a predicate
+# on the confirmed rule and its stopping iteration, given the block length)
+STOP_CASES = {
+    "window-straddles-boundary": (
+        {}, lambda block: lambda rule, stop: rule.candidate // block < stop // block),
+    "candidate-resets-inside-block": (
+        dict(tau=5, tau_intra=2),
+        lambda block: lambda rule, stop: any(
+            s // block == r // block for s, r in zip(rule.starts, rule.resets))),
+    "window-longer-than-block": (dict(tau=70), lambda block: lambda rule, stop: True),
+    "cap-inside-block": (dict(max_iters=100), 1e-12),
+    "no-sweep-unsettled": (dict(max_iters=0), 1e-12),
+    "no-sweep-settled": (dict(tau=0, max_iters=0), 1e3),
+    "settled-at-zero": ({}, 1e3),
+}
+
+
+@pytest.mark.parametrize("block", [7, engine.BLOCK_ITERATIONS])
+@pytest.mark.parametrize("case", list(STOP_CASES))
+def test_run_until_matches_per_sweep_check(monkeypatch, case, block):
+    """Checking the stopping rule once per block, on the block's metric
+    column, gives the outcome and the column bytes of a check after every
+    sweep."""
+    monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
+    fields, threshold = STOP_CASES[case]
+    spec = STOP_BASE.replace(**fields)
+    network = build_clustered_network(spec)
+    window = max(spec.tau, spec.tau_intra) + 1
+    if callable(threshold):
+        threshold = threshold_where(metric_sequence(network, spec), window,
+                                    threshold(block))
+    spec = spec.replace(threshold=threshold)
+    outcome, columns, rule = per_sweep_run_until(network, spec)
+    # the case is what its name says
+    stop = len(columns[0]) - 1
+    if case == "candidate-resets-inside-block":
+        assert rule.resets
+    if case == "window-longer-than-block":
+        assert window > block and outcome[0]
+    if case == "cap-inside-block":
+        assert not outcome[0] and stop % block not in (0, block - 1)
+    if case == "settled-at-zero":
+        assert outcome == (True, 0) and window > 1
+    assert outcome[0] == (case not in ("cap-inside-block", "no-sweep-unsettled"))
+
+    result = run_until(network, spec)
+    assert (result.converged, result.iterations) == outcome
+    assert column_bytes(result.trace) == [c.tobytes() for c in columns]
 
 
 # ---------------------------------------------------------------------

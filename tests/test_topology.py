@@ -101,6 +101,17 @@ def test_geometric_graph_deterministic():
     assert a.is_connected()
 
 
+def test_connectivity_searched_once_per_graph():
+    # geometric_graph's search is the one that metropolis_weights and
+    # LeaderSchedule read again
+    g = geometric_graph(15, 0.5, np.random.default_rng(3))
+    assert vars(g)["_connected"] is True
+    metropolis_weights(g)
+    assert vars(g)["_connected"] is True
+    apart = AdjacencyGraph.from_edges(4, [(0, 1), (2, 3)])
+    assert not apart.is_connected() and vars(apart)["_connected"] is False
+
+
 def test_geometric_graph_gives_up():
     with pytest.raises(ConstructionError):
         geometric_graph(12, 1e-6, np.random.default_rng(0))
@@ -128,6 +139,21 @@ def test_metropolis_matches_dense_reference():
         w = metropolis_weights(g)
         ref = oracle.metropolis_dense(oracle.adjacency_of(g))
         assert np.allclose(w.entries, ref, atol=1e-14)
+
+
+def test_metropolis_weights_equal_per_edge_loop():
+    """The edge weights taken over whole edge arrays are the bytes of the
+    per-edge loop."""
+    rng = np.random.default_rng(5)
+    graphs = [line_graph(1), line_graph(2), ring_graph(7), complete_graph(6)]
+    graphs += [geometric_graph(n, 0.5, rng) for n in (5, 20, 60)]
+    for g in graphs:
+        deg = g.degrees()
+        ref = np.zeros((g.node_count, g.node_count))
+        for i, j in g.edges:
+            ref[i, j] = ref[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+        assert metropolis_weights(g).entries.tobytes() == ref.tobytes()
 
 
 def test_metropolis_doubly_stochastic():

@@ -1,27 +1,25 @@
-"""Protocol execution: vectorised updates over state history rings, and
-the run driver.
+"""Protocol execution: one linear map per sweep over a single history
+buffer, and the run driver.
 
 One iteration is one synchronous sweep: every follower mixes with its
-neighbours at step size gamma and tracks its own leader; every leader mixes
-with the other leaders at step size beta, reading their states through a
-uniform delay of tau iterations.  All reads use pre-step values.  States are
-d-dimensional row vectors: all followers in one array stacked cluster by
-cluster, all leaders in another, each kept in a ring of recent iterations
-deep enough for the delays that read it.
+neighbours at step size gamma and tracks its own leader, both read
+tau_intra iterations ago; every leader holds 1 - beta of its own state and
+mixes at step size beta with the other leaders, reading their states
+through a uniform delay of tau iterations.  All reads use pre-step values.
+States are d-dimensional row vectors, all followers stacked cluster by
+cluster and then all leaders, and one buffer keeps the recent iterations
+of that stack in consecutive slots, as deep as the longest delay.
 
-A sweep costs a fixed number of numpy calls, whatever the degrees and the
-number of clusters.  Every follower of every cluster is updated in one
-gather-sum over the network's block-diagonal neighbour table
-(`ClusteredNetwork.mix_followers`), and each row gets its own leader's state
-through the per-row cluster index `NetworkState.owner`; the leaders mix
-through `WeightMatrix.mix` over the same kind of table.  Each table holds a
-row's diagonal in slot 0 and its neighbours after it, and one reduction
-over the slots sums each row in that order, so every value equals the
-per-node accumulation bit for bit.  The new states are written straight
-into the ring slots of the next iteration.
+A sweep costs five numpy calls, whatever the delays, the degrees and the
+number of clusters.  Each run builds one padded neighbour table over all
+rows (`_sweep_table`) whose ids point into the window of the last
+max(tau, tau_intra) + 1 iterations, so a delayed read is a fixed offset;
+`_sweep` gathers every term at once and writes the new states straight
+into the buffer slot of the next iteration.  Every value equals the
+per-node accumulation bit for bit.
 
 The run driver sweeps a block of iterations back to back and then
-evaluates the block at once, reading its states straight from the rings
+evaluates the block at once, reading its states straight from the buffer
 (`NetworkState.block_states`): the stopping metric of every iteration in
 one reduction, and every error family, written into the columns of a
 `Trace`.  No Python object is built per iteration.  The test suite checks
@@ -63,23 +61,37 @@ BLOCK_ITERATIONS = 64
 BLOCK_BYTES = 2 << 20
 
 
+def _history_layout(rows: int, d: int, reach: int) -> tuple:
+    """Block length and number of buffer slots for `rows` nodes of
+    dimension d whose delays reach back `reach` iterations: a window of
+    reach + 1 slots and whole blocks after it, at least as many slots as
+    the window, so that the shift (see NetworkState) copies at most one
+    slot per sweep on average."""
+    block = max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // (8 * rows * d)))
+    window = reach + 1
+    return block, window + -(-window // block) * block
+
+
 class NetworkState:
     """Mutable simulation state at some iteration k, with its history.
 
-    Two rings hold the history, each indexed modulo its depth so that slot
-    k % depth holds iteration k: the followers, shape (depth_f, N_f, d),
-    stacked cluster by cluster, and the leaders, shape (depth_l, r, d).
-    Each depth is the history its delays read (tau_intra + 1 for the
-    followers, max(tau, tau_intra) + 1 for the leaders) rounded up to a
-    multiple of `block`, so the iterations of one diagnostics block, which
-    starts at a multiple of `block`, lie in consecutive slots of both rings
-    (see `block_states`).  Every slot starts at the initial values, which
-    realises the convention that states before iteration 0 equal the
-    initial values.  followers_at(t) and leaders_at(t) read the states of
-    t iterations ago, t = 0 the current ones.  Both return views into the
-    rings, which later iterations overwrite, so a caller copies what it
-    keeps.  owner[i] is the cluster of follower row i and starts[a] the
-    first row of cluster a.
+    One buffer of shape (length, N_f + r, d) holds the history, one slot
+    per iteration: the followers, stacked cluster by cluster, then the
+    leaders.  Iterations k - reach .. k, reach = max(tau, tau_intra), sit
+    in consecutive slots, so the window a sweep reads is one slice.  The
+    initial values fill the window before iteration 0, which realises the
+    convention that states before iteration 0 equal the initial values.
+    When a sweep finds the buffer full, it first copies the window to the
+    front.  The slots after the window hold whole blocks, and iteration 0
+    starts a block right after the window, so a copy happens only as a
+    block starts and the iterations of one diagnostics block stay in
+    consecutive slots (see block_states).
+
+    followers_at(t) and leaders_at(t) read the states of t iterations ago,
+    t = 0 the current ones.  Both return views into the buffer, which
+    later iterations overwrite, so a caller copies what it keeps.
+    owner[i] is the cluster of follower row i and starts[a] the first row
+    of cluster a.
     """
 
     def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra):
@@ -88,30 +100,31 @@ class NetworkState:
         self.k = 0
         self.owner = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
         self.starts = np.cumsum([0] + list(cluster_sizes[:-1]))
-        sweep_bytes = followers.nbytes + leaders.nbytes
-        self.block = max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // sweep_bytes))
-        self._reach = (self.tau_intra, max(self.tau, self.tau_intra))
-        self._followers, self._leaders = (
-            np.repeat(x[None], -(-(reach + 1) // self.block) * self.block, axis=0)
-            for x, reach in zip((followers, leaders), self._reach)
-        )
+        self._split = len(followers)
+        self._reach = max(self.tau, self.tau_intra)
+        rows = np.concatenate([followers, leaders])
+        self.block, length = _history_layout(*rows.shape, self._reach)
+        self._slot = self._reach + 1            # the slot of iteration k
+        self._history = np.empty((length,) + rows.shape)
+        self._history[:self._slot + 1] = rows
+        self._tables = None                     # (network, steps, sweep tables)
 
     @property
     def dimension(self) -> int:
-        return self._leaders.shape[2]
+        return self._history.shape[2]
 
-    def _at(self, ring, reach, offset):
+    def _at(self, reach, offset):
         if not (0 <= offset <= reach):
             raise DomainError(f"history offset {offset} outside [0, {reach}]")
-        return ring[(self.k - offset) % len(ring)]
+        return self._history[self._slot - offset]
 
     def followers_at(self, offset: int) -> np.ndarray:
         """(N_f, d) view of all followers, offset iterations ago."""
-        return self._at(self._followers, self._reach[0], offset)
+        return self._at(self.tau_intra, offset)[:self._split]
 
     def leaders_at(self, offset: int) -> np.ndarray:
         """(r, d) view of all leaders, offset iterations ago."""
-        return self._at(self._leaders, self._reach[1], offset)
+        return self._at(self._reach, offset)[self._split:]
 
     def block_states(self, first: int) -> tuple:
         """(n, N_f, d) and (n, r, d) views of the followers and leaders of
@@ -121,13 +134,12 @@ class NetworkState:
         if first % self.block or not (0 < n <= self.block):
             raise DomainError(f"iterations {first}..{self.k} do not lie in one "
                               f"block of {self.block}")
-        return tuple(ring[first % len(ring):][:n]
-                     for ring in (self._followers, self._leaders))
+        layers = self._history[self._slot + 1 - n:self._slot + 1]
+        return layers[:, :self._split], layers[:, self._split:]
 
     def copy(self) -> "NetworkState":
         other = copy.copy(self)
-        other._followers = self._followers.copy()
-        other._leaders = self._leaders.copy()
+        other._history = self._history.copy()
         return other
 
 
@@ -179,7 +191,7 @@ def sample_initial_values(spec, total_nodes: int) -> np.ndarray:
 
 
 def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> NetworkState:
-    """Distribute per-node initial values into the rings."""
+    """Distribute per-node initial values into the history buffer."""
     vals = np.asarray(initial_values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -205,36 +217,83 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
 # one-step updates
 # ---------------------------------------------------------------------
 
-def leader_step(state: NetworkState, beta: float, weights, out=None) -> np.ndarray:
-    """New leader block, written into `out` when given; neighbour states
-    are read through the tau delay.
+def _sweep_table(network, matrix, state: NetworkState, steps: StepSizes) -> tuple:
+    """The table of one sweep with `matrix` mixing the leaders: ids
+    (width + 2, N) into the window of iterations k - reach .. k flattened
+    to (reach + 1) * N rows, weights (width + 2, N, 1) and the step that
+    scales each row's mixing sum, (N, 1).
 
-    The own state enters twice: undelayed through the (1 - beta) hold and
-    delayed through the mixing matrix diagonal.
+    Slots 0..width hold a row's slots of its follower or leader neighbour
+    table (topology._ellpack), read tau_intra iterations ago for a
+    follower and tau for a leader.  The narrower table is padded to the
+    wider one as _ellpack pads: weight 0.0 at the row's own slot-0 id.
+    The last slot is the tracking term, gamma times the own leader read
+    tau_intra iterations ago for a follower and 1 - beta times the own
+    current state for a leader.
     """
-    current = state.leaders_at(0)
-    delayed = state.leaders_at(state.tau)
-    return np.add((1.0 - beta) * current, beta * weights.mix(delayed), out=out)
+    f_index, f_weight = network._follower_table
+    l_index, l_weight = matrix._neighbour_table
+    split, reach = state._split, state._reach
+    n = split + l_index.shape[1]
+    parts = (split, n - split)                  # follower rows, leader rows
+    slots = max(len(f_index), len(l_index))
+    index = np.tile(np.arange(n), (slots + 1, 1))
+    weight = np.zeros((slots + 1, n, 1))
+    index[:len(f_index), :split] = f_index
+    index[:len(l_index), split:] = l_index + split
+    weight[:len(f_index), :split] = f_weight
+    weight[:len(l_index), split:] = l_weight
+    index[-1, :split] = split + state.owner
+    weight[-1, :, 0] = np.repeat([steps.gamma, 1.0 - steps.beta], parts)
+    index[:-1] += (reach - np.repeat([state.tau_intra, state.tau], parts)) * n
+    index[-1] += (reach - np.repeat([state.tau_intra, 0], parts)) * n
+    hold = np.repeat([1.0 - steps.gamma, steps.beta], parts)[:, None]
+    return index, weight, hold
+
+
+def _sweep(table, x: np.ndarray, out=None) -> np.ndarray:
+    """Apply a sweep table to an (M, d) stack of row states:
+    hold * (the sum of every slot but the last) + the last slot, per row.
+
+    One reduction over the outer axis of the C-contiguous stack of mixing
+    terms adds the slots one after the other, element by element, so each
+    sum is bit-identical to the per-node sum w_ii x_i + sum_j w_ij x_j over
+    the neighbour list.  The reduction starts from -0.0, which leaves the
+    first term as it is.  A padding term is 0.0 times the row's own
+    diagonal read, and a sum is -0.0 only if that read is negative or
+    -0.0, so the padding never changes a sum.  (numpy would sum pairwise
+    along the slots only for a stack of one or two values, and such a
+    table has fewer than eight slots.)
+    """
+    index, weight, hold = table
+    terms = weight * x.take(index, axis=0)
+    return np.add(hold * np.add.reduce(terms[:-1], axis=0, initial=-0.0), terms[-1],
+                  out=out)
 
 
 def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
-    """One synchronous sweep: all blocks update from pre-step values, and
-    the new states go straight into the ring slots of iteration k + 1.
+    """One synchronous sweep: every row updates from pre-step values, and
+    the new states go straight into the buffer slot of iteration k + 1.
 
-    Each follower keeps (1 - gamma) of its neighbourhood average and moves
-    gamma towards its own leader, both read tau_intra iterations ago.
-    Every term is computed before its slot is written, so a slot that is
-    read in the same sweep (a ring as deep as the delay) is safe.
+    The first sweep with a given network and step sizes builds the sweep
+    table, one per leader schedule matrix, each chosen at the iterations
+    where the schedule applies it.  The window is read whole before the
+    new slot is written, which never lies inside it.
     """
-    v_k = network.leader_schedule.matrix_at(state.k)
-    followers, leaders = state._followers, state._leaders
-    stale = followers[(state.k - state.tau_intra) % len(followers)]
-    lead = leaders[(state.k - state.tau_intra) % len(leaders)].take(state.owner, axis=0)
-    after = state.k + 1
-    np.add((1.0 - steps.gamma) * network.mix_followers(stale), steps.gamma * lead,
-           out=followers[after % len(followers)])
-    leader_step(state, steps.beta, v_k, out=leaders[after % len(leaders)])
-    state.k = after
+    cached = state._tables
+    if cached is None or cached[0] is not network or cached[1] is not steps:
+        cached = state._tables = (network, steps, tuple(
+            _sweep_table(network, m, state, steps)
+            for m in network.leader_schedule.matrices))
+    tables = cached[2]
+    history, slot, window = state._history, state._slot + 1, state._reach + 1
+    if slot == len(history):
+        history[:window] = history[slot - window:]
+        slot = window
+    rows = history[slot - window:slot].reshape(-1, history.shape[2])
+    _sweep(tables[state.k % len(tables)], rows, out=history[slot])
+    state._slot = slot
+    state.k += 1
     return state
 
 
@@ -254,7 +313,7 @@ def _drive(network, spec, until: bool) -> RunResult:
     (see run_until).
 
     The sweeps of a block of state.block iterations run back to back.  Once
-    the block's last iteration is in the rings, or spec.max_iters is, the
+    the block's last iteration is in the buffer, or spec.max_iters is, the
     driver evaluates the block: with `until`, the stopping metric of every
     iteration in one reduction, scanned for the confirmation window (a
     candidate carries over from block to block); then every error family,

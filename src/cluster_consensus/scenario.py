@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import isfinite
 from numbers import Integral, Real
 
+from .engine import _history_layout
 from .errors import ConfigError
 
 TOPOLOGY_FAMILIES = ("ring", "geometric", "explicit")
@@ -221,17 +222,18 @@ class ScenarioSpec:
 def _peak_bytes(spec) -> int:
     """Estimated peak memory of building and running `spec`, in bytes:
     _BYTES_PER_PAIR for every node pair of each cluster and of the leaders,
-    one sweep's neighbour gather (an index, weights and two (width, N_f, d)
-    arrays) and both history rings, depth x rows x d x 8 bytes.  Rounding
-    the rings up to whole diagnostics blocks adds at most 2 MiB to each."""
+    the history buffer (slots x N x d x 8 bytes, see engine._history_layout)
+    and one sweep's gather: ids, weights and two (width + 2, N, d) stacks
+    of terms, width bounding every row's degree, and the (N, 1) steps."""
     followers = [s - 1 for s in spec.cluster_sizes]
-    rows, r = sum(followers), len(followers)
-    width = 2 if spec.family == "ring" else max(followers) - 1
+    r = len(followers)
+    rows = sum(followers) + r
+    width = max(2 if spec.family == "ring" else max(followers) - 1,
+                min(2, r - 1) if spec.leader_graph == "line" else r - 1)
     pairs = sum(n * n for n in followers) + r * r
-    gather = 8 * (2 + 2 * spec.d) * (width * rows + r * r)
-    rings = 8 * spec.d * ((spec.tau_intra + 1) * rows
-                          + (max(spec.tau, spec.tau_intra) + 1) * r)
-    return _BYTES_PER_PAIR * pairs + gather + rings
+    gather = 8 * rows * ((2 + 2 * spec.d) * (width + 2) + 1)
+    _, slots = _history_layout(rows, spec.d, max(spec.tau, spec.tau_intra))
+    return _BYTES_PER_PAIR * pairs + gather + 8 * spec.d * rows * slots
 
 
 def _untuple(v):

@@ -13,7 +13,9 @@ The engine applies the matrices through padded neighbour tables in ELLPACK
 form: slot 0 of each row holds the row's own diagonal entry and the slots
 after it its neighbours in ascending order, so a single reduction over the
 slots sums each row in the per-node order, at a cost in numpy calls that
-does not depend on the degree.  A graph searches its connectivity once and
+does not depend on the degree.  A row with fewer neighbours than the
+widest is padded with weight 0.0 at its own id, a term that leaves every
+sum as it is, a -0.0 included.  A graph searches its connectivity once and
 keeps the answer.
 """
 
@@ -51,7 +53,7 @@ def _canonical_edges(node_count: int, edges) -> frozenset:
             raise TopologyError(
                 f"edge ({i}, {j}) references a node outside [0, {node_count})"
             )
-        out.add((min(i, j), max(i, j)))
+        out.add((i, j) if i < j else (j, i))
     return frozenset(out)
 
 
@@ -69,15 +71,20 @@ class AdjacencyGraph:
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "AdjacencyGraph":
-        return cls(node_count, frozenset((int(i), int(j)) for i, j in edges))
+        return cls(node_count, [(i, j) for i, j in edges])
 
     @cached_property
     def _adjacency(self) -> tuple:
         nbrs = [[] for _ in range(self.node_count)]
-        for i, j in sorted(self.edges):
+        for i, j in self.edges:
             nbrs[i].append(j)
             nbrs[j].append(i)
         return tuple(tuple(sorted(n)) for n in nbrs)
+
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """(2, m) array of the edges' endpoint ids, in the set's own order."""
+        return np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
 
     def neighbors(self, i: int) -> tuple:
         return self._adjacency[i]
@@ -93,11 +100,11 @@ class AdjacencyGraph:
 
     @cached_property
     def _connected(self) -> bool:
+        adjacency = self._adjacency
         seen = {0}
         stack = [0]
         while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
+            for j in adjacency[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -139,9 +146,10 @@ def geometric_graph(node_count: int, radius: float, rng) -> AdjacencyGraph:
     for _ in range(GEOMETRIC_ATTEMPTS):
         pts = rng.random((node_count, 2))
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        close = (dists < radius) & ~np.eye(node_count, dtype=bool)
-        ii, jj = np.nonzero(np.triu(close))
-        graph = AdjacencyGraph.from_edges(node_count, zip(ii.tolist(), jj.tolist()))
+        ii, jj = np.nonzero(dists < radius)
+        upper = ii < jj
+        graph = AdjacencyGraph.from_edges(
+            node_count, zip(ii[upper].tolist(), jj[upper].tolist()))
         if graph.is_connected():
             return graph
     raise ConstructionError(
@@ -209,9 +217,8 @@ def validate_weights(entries, support: AdjacencyGraph,
     for j in np.nonzero(np.abs(cols - 1.0) > tol)[0]:
         bad.append(WeightViolation("column_sum", (int(j),), float(cols[j])))
     on_edge = np.zeros((n, n), dtype=bool)
-    if support.edges:
-        ii, jj = np.array(list(support.edges)).T
-        on_edge[ii, jj] = on_edge[jj, ii] = True
+    ii, jj = support._edge_array
+    on_edge[ii, jj] = on_edge[jj, ii] = True
     off_support = ((w > 0.0) != on_edge) | (w < 0.0)
     np.fill_diagonal(off_support, False)
     a, b = np.nonzero(off_support | (on_edge & (w < alpha - tol)))
@@ -259,10 +266,6 @@ class WeightMatrix:
         """second_largest_singular_value of this matrix, computed once."""
         return second_largest_singular_value(self)
 
-    def mix(self, x: np.ndarray) -> np.ndarray:
-        """W @ x for an (n, d) stack of row states (see _gather_sum)."""
-        return _gather_sum(self._neighbour_table, x)
-
 
 def _ellpack(blocks) -> tuple:
     """Padded neighbour table in ELLPACK form (Bell & Garland, SC'09) of the
@@ -272,7 +275,7 @@ def _ellpack(blocks) -> tuple:
     n is the total size and width the largest row degree.  Slot 0 of row i
     holds i itself with weight w_ii; slot s >= 1 holds the s-th neighbour
     of i in ascending order, ids shifted by the offset of i's block.  Rows
-    with fewer neighbours are padded with index 0 and weight 0.0.
+    with fewer neighbours are padded with their own id i and weight 0.0.
     """
     rows, cols, values = [], [], []
     offset = 0
@@ -288,29 +291,12 @@ def _ellpack(blocks) -> tuple:
     counts = np.bincount(rows, minlength=offset)
     width = int(counts.max()) if rows.size else 0
     slots = 1 + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    index = np.zeros((width + 1, offset), dtype=np.intp)
+    index = np.tile(np.arange(offset), (width + 1, 1))
     weight = np.zeros((width + 1, offset, 1))
-    index[0] = np.arange(offset)
     weight[0, :, 0] = np.concatenate([np.diagonal(w) for w in blocks])
     index[slots, rows] = cols
     weight[slots, rows, 0] = values
     return index, weight
-
-
-def _gather_sum(table, x: np.ndarray) -> np.ndarray:
-    """Apply a neighbour table to an (n, d) stack of row states, summing
-    each row in slot order: diagonal, then neighbours by ascending id.
-
-    One reduction over the outer axis of the C-contiguous (width + 1, n, d)
-    stack of terms adds the slots one after the other, element by element,
-    so every row is bit-identical to the per-node sum
-    w_ii x_i + sum_j w_ij x_j over the neighbour list.  The reduction
-    starts from -0.0, which leaves the first term as it is; a padding slot
-    adds a zero, which can only turn a -0.0 row into +0.0.  (numpy would
-    sum pairwise only for n * d = 1, and a table of one row has width 0.)
-    """
-    index, weight = table
-    return np.add.reduce(weight * x.take(index, axis=0), axis=0, initial=-0.0)
 
 
 def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
@@ -329,12 +315,11 @@ def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
     n = graph.node_count
     deg = graph.degrees()
     w = np.zeros((n, n))
-    if graph.edges:
-        i, j = np.array(list(graph.edges)).T
-        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    i, j = graph._edge_array
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     diag = 1.0 - w.sum(axis=1)
     assert np.all(diag > 0), "max-degree rule produced a non-positive diagonal"
-    w[np.diag_indices(n)] = diag
+    np.fill_diagonal(w, diag)
     alpha = 1.0 / (1.0 + int(deg.max()))
     return WeightMatrix(w, graph, alpha)
 
@@ -356,11 +341,14 @@ def second_largest_singular_value(weights) -> float:
     Computed exactly at every size: symmetric matrices (every max-degree
     matrix) through their eigenvalues, others through a dense SVD.
     """
-    w = weights.entries if isinstance(weights, WeightMatrix) else np.asarray(weights, float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NumericError("matrix contains non-finite entries")
+    if isinstance(weights, WeightMatrix):
+        w = weights.entries          # square and finite, validated at construction
+    else:
+        w = np.asarray(weights, float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ShapeError(f"expected a square matrix, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise NumericError("matrix contains non-finite entries")
     dev = _deviation(w)
     if np.abs(w - w.T).max() <= 1e-13:
         return float(np.max(np.abs(np.linalg.eigvalsh(dev))))
@@ -495,13 +483,8 @@ class ClusteredNetwork:
     def _follower_table(self) -> tuple:
         """One block-diagonal neighbour table over all followers, stacked
         cluster by cluster and padded to the largest degree in the network.
-        Built on the first mix_followers call."""
+        Built on the first sweep (see engine._sweep_table)."""
         return _ellpack([c.follower_weights.entries for c in self.clusters])
-
-    def mix_followers(self, x: np.ndarray) -> np.ndarray:
-        """Every cluster's follower matrix applied to its own rows of the
-        (N_f, d) follower stack, in one gather-sum."""
-        return _gather_sum(self._follower_table, x)
 
 
 def build_clustered_network(spec) -> "ClusteredNetwork":

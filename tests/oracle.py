@@ -2,7 +2,7 @@
 
 Everything here is written as dense matrix products with a plain
 clamped-index history list of whole-network states, deliberately unlike the
-engine's padded neighbour-table sums and modular history rings.  The
+engine's padded neighbour-table sums and sliding history buffer.  The
 envelopes are evaluated one iteration and one Python float at a time,
 unlike the package's whole-column evaluation.  Agreement between the two
 routes is the evidence the tests lean on.

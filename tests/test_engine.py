@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from cluster_consensus import (
     stopping_metric,
 )
 from cluster_consensus import engine, topology
-from cluster_consensus.engine import leader_step
 
 
 def global_state(network, state):
@@ -57,30 +58,40 @@ def trajectory(network, spec, steps):
 
 
 # ---------------------------------------------------------------------
-# history rings and parameter guards
+# history buffer and parameter guards
 # ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("tau,tau_intra", [(0, 0), (3, 0), (2, 5), (7, 3)])
-def test_history_rings(tiny_spec, tiny_network, tau, tau_intra):
+# Block lengths under which the buffer is checked: each delay below spans
+# up to three blocks of 4 or of 64, so the window is copied to the front
+# of the buffer many times, also when the window is longer than a block.
+HISTORY_BLOCKS = (1, 4, engine.BLOCK_ITERATIONS)
+
+
+@pytest.mark.parametrize("tau,tau_intra", [(0, 0), (3, 0), (2, 5), (7, 3),
+                                           (11, 9), (130, 191)])
+def test_history_rings(tiny_spec, tiny_network, monkeypatch, tau, tau_intra):
     init = sample_initial_values(tiny_spec.replace(d=2), 12)
-    state = init_state(tiny_network, init, tau, tau_intra)
     sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
     depth = max(tau, tau_intra) + 1
-    seen = []
-    for k in range(3 * depth + 2):
-        assert state.k == k
-        seen.append((state.followers_at(0).copy(), state.leaders_at(0).copy()))
-        for t in range(depth):
-            past = seen[max(k - t, 0)]
-            assert state.leaders_at(t).tobytes() == past[1].tobytes()
-            if t <= tau_intra:
-                assert state.followers_at(t).tobytes() == past[0].tobytes()
-        advance(tiny_network, state, sizes)
-    for offset in (-1, depth):
+    for block in HISTORY_BLOCKS:
+        monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
+        state = init_state(tiny_network, init, tau, tau_intra)
+        assert state.block == block
+        seen = []
+        for k in range(3 * depth + 2):
+            assert state.k == k
+            seen.append((state.followers_at(0).copy(), state.leaders_at(0).copy()))
+            for t in range(depth):
+                past = seen[max(k - t, 0)]
+                assert state.leaders_at(t).tobytes() == past[1].tobytes(), (block, k, t)
+                if t <= tau_intra:
+                    assert state.followers_at(t).tobytes() == past[0].tobytes()
+            advance(tiny_network, state, sizes)
+        for offset in (-1, depth):
+            with pytest.raises(DomainError):
+                state.leaders_at(offset)
         with pytest.raises(DomainError):
-            state.leaders_at(offset)
-    with pytest.raises(DomainError):
-        state.followers_at(tau_intra + 1)
+            state.followers_at(tau_intra + 1)
 
 
 @pytest.mark.parametrize("gamma,beta", [
@@ -283,15 +294,18 @@ def assert_records_close(got, want, tol):
 
 
 def assert_sweep_matches_reference(network, state, sizes):
-    """The followers that advance computes on a copy of `state` and the
-    stopping metric of `state` equal their per-node and per-cluster
-    references to the bit.  The diagnostics sum each cluster by segment
-    reductions, in another order than mean and np.linalg.norm, so they
-    agree with the per-cluster reference to rounding."""
-    new = advance(network, state.copy(), sizes).followers_at(0)
-    for a, got in enumerate(cluster_blocks(state, new)):
+    """The followers and leaders that advance computes on a copy of
+    `state` and the stopping metric of `state` equal their per-node and
+    per-cluster references to the bit.  The diagnostics sum each cluster by
+    segment reductions, in another order than mean and np.linalg.norm, so
+    they agree with the per-cluster reference to rounding."""
+    new = advance(network, state.copy(), sizes)
+    for a, got in enumerate(cluster_blocks(state, new.followers_at(0))):
         want = reference_follower_step(network, state, a, sizes.gamma)
         assert got.tobytes() == want.tobytes(), f"cluster {a}"
+    v_k = network.leader_schedule.matrix_at(state.k)
+    want = reference_leader_step(state, sizes.beta, v_k)
+    assert new.leaders_at(0).tobytes() == want.tobytes(), "leaders"
     assert_records_close(diagnostics(state), reference_diagnostics(state), 1e-13)
     assert repr(stopping_metric(state)) == repr(reference_stopping_metric(state))
 
@@ -358,9 +372,6 @@ def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
         if k == spec.max_iters:
             break
         assert_sweep_matches_reference(network, state, sizes)
-        v_k = network.leader_schedule.matrix_at(state.k)
-        got = leader_step(state, spec.beta, v_k)
-        assert got.tobytes() == reference_leader_step(state, spec.beta, v_k).tobytes()
         advance(network, state, sizes)
 
     # diagnostics of one state is the traced row of its iteration, bit for bit
@@ -388,21 +399,32 @@ def reference_block_sum(blocks, x):
 
 
 def states_for(blocks, d, rng, negative_zero):
-    """Row states over many magnitudes; with negative_zero, row 0 and every
-    row of the last block are -0.0, so the last block's sums are -0.0 and
-    every padding term (index 0, weight 0.0) is -0.0 as well."""
+    """Row states over many magnitudes; with negative_zero, every row of the
+    last block is -0.0, so the last block's sums are -0.0 and so is each of
+    their padding terms (the row's own id, weight 0.0).  Row 0 stays
+    non-zero where it lies in another block, so a padding term that read
+    any other row would turn such a sum into +0.0."""
     n = sum(len(w) for w in blocks)
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 6, (n, d))
     if negative_zero:
-        x[0] = x[n - len(blocks[-1]):] = -0.0
+        x[n - len(blocks[-1]):] = -0.0
     return x
 
 
 def assert_gather_sum_matches(blocks, x, width):
-    index, weight = table = topology._ellpack(blocks)
-    assert index.shape == (width + 1, len(x)) and weight.shape == (width + 1, len(x), 1)
-    got = topology._gather_sum(table, x)
-    assert got.tobytes() == reference_block_sum(blocks, x).tobytes()
+    """The sweep kernel on the blocks' table, with a last slot that tracks
+    each row's own state and a step per row drawn at random, equals
+    step * (per-node sum) + tracking term, to the bit."""
+    index, weight = topology._ellpack(blocks)
+    n = len(x)
+    assert index.shape == (width + 1, n) and weight.shape == (width + 1, n, 1)
+    rng = np.random.default_rng(n * x.shape[1] + width)
+    hold, track = rng.uniform(0.05, 1.0, (2, n, 1))
+    table = (np.vstack([index, np.arange(n)]), np.concatenate([weight, track[None]]),
+             hold)
+    got = engine._sweep(table, x)
+    want = hold * reference_block_sum(blocks, x) + track * x
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -494,12 +516,52 @@ def test_sweep_pads_clusters_of_different_degree():
     assert index.shape == (9, 17)
     assert index[0].tolist() == list(range(17)) and (weight[0] > 0.0).all()
     # after the diagonal slot, each row fills as many leading slots as it
-    # has neighbours; the rest is padding
+    # has neighbours; the rest is padding at the row's own id
     index, weight = index[1:], weight[1:]
     filled = weight[..., 0] != 0.0
     assert filled.sum(axis=0).tolist() == [2] * 5 + [8] * 9 + [1, 2, 1]
     assert (filled == (np.arange(8)[:, None] < filled.sum(axis=0))).all()
-    assert not index[~filled].any()
+    assert (index[~filled] == np.nonzero(~filled)[1]).all()
+
+
+def complete_edges(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("negative_zero", [False, True], ids=["signed", "minus-zero"])
+@pytest.mark.parametrize("d", [1, 3])
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_sweep_pads_leader_table_narrower_than_followers(d, negative_zero, data):
+    """Complete clusters under a line of leaders: the leader rows carry
+    padding slots that their own table lacks.  With negative_zero every
+    leader and the followers of some clusters start at -0.0, so their sums
+    are -0.0 at every sweep.  Follower and leader rows equal their per-node
+    references to the bit."""
+    r = data.draw(st.integers(2, 5))
+    sizes = tuple(data.draw(st.lists(st.integers(5, 9), min_size=r, max_size=r)))
+    spec = ScenarioSpec(
+        family="explicit", cluster_sizes=sizes,
+        cluster_edges=tuple(complete_edges(s - 1) for s in sizes), leader_graph="line",
+        gamma=data.draw(st.floats(0.05, 0.95)), beta=data.draw(st.floats(0.05, 1.0)),
+        tau=data.draw(st.integers(0, 4)), tau_intra=data.draw(st.integers(0, 3)), d=d,
+        seed=data.draw(st.integers(0, 10_000)), max_iters=10)
+    network = build_clustered_network(spec)
+    leader_table = network.leader_schedule.matrices[0]._neighbour_table
+    assert len(leader_table[0]) <= 3 < len(network._follower_table[0])
+    init = sample_initial_values(spec, network.total_nodes)
+    if negative_zero:
+        init[list(network.leader_ids)] = -0.0
+        zeroed = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+        for cluster in itertools.compress(network.clusters, zeroed):
+            init[list(cluster.follower_ids)] = -0.0
+    state = init_state(network, init, spec.tau, spec.tau_intra)
+    sizes = StepSizes(spec.gamma, spec.beta)
+    for _ in range(2 * max(spec.tau, spec.tau_intra) + 3):
+        assert_sweep_matches_reference(network, state, sizes)
+        advance(network, state, sizes)
+    if negative_zero:
+        assert np.signbit(state.leaders_at(0)).all() and not state.leaders_at(0).any()
 
 
 def test_sweep_many_clusters():
@@ -848,9 +910,9 @@ def test_block_length_capped_by_bytes(tiny_network, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
         state = init_state(tiny_network, init, tau=3, tau_intra=9)
         assert state.block == block
-        # each ring holds its delays, rounded up to whole blocks
-        assert len(state._followers) == -(-10 // block) * block
-        assert len(state._leaders) == -(-10 // block) * block
+        # the window of the longest delay, then at least as many slots in
+        # whole blocks
+        assert len(state._history) == 10 + -(-10 // block) * block
         state.followers_at(9)
         with pytest.raises(DomainError):
             state.followers_at(10)
@@ -873,28 +935,32 @@ def test_block_states_are_one_block(tiny_spec, tiny_network, monkeypatch):
             state.block_states(first)
 
 
-def test_state_copy_is_independent(tiny_spec, tiny_network):
+def test_state_copy_is_independent(tiny_spec, tiny_network, monkeypatch):
     init = sample_initial_values(tiny_spec, 12)
     sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
-    for tau_intra in (0, 2):
+    for block, tau_intra in itertools.product(HISTORY_BLOCKS, (0, 2, 11, 70)):
+        monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
         state = init_state(tiny_network, init, tiny_spec.tau, tau_intra)
-        for _ in range(5):
+        reach = max(state.tau, tau_intra)
+        # copy at each iteration of a buffer's length, so that the window
+        # has been shifted to the front before some copies and is shifted
+        # right after others
+        for k in range(len(state._history)):
+            frozen = state.copy()
+            mark = frozen.leaders_at(0).copy()
+            for t in range(reach + 1):
+                assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
+            for t in range(tau_intra + 1):
+                assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
             advance(tiny_network, state, sizes)
-        frozen = state.copy()
-        mark = frozen.leaders_at(0).copy()
-        for t in range(max(frozen.tau, tau_intra) + 1):
-            assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
-        for t in range(tau_intra + 1):
-            assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
-        advance(tiny_network, state, sizes)
-        assert np.array_equal(frozen.leaders_at(0), mark)
-        assert frozen.k == 5 and state.k == 6
-        # the copy continues exactly like the original would have
-        advance(tiny_network, frozen, sizes)
-        for t in range(max(frozen.tau, tau_intra) + 1):
-            assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
-        for t in range(tau_intra + 1):
-            assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
+            assert np.array_equal(frozen.leaders_at(0), mark)
+            assert frozen.k == k and state.k == k + 1
+            # the copy continues exactly like the original would have
+            advance(tiny_network, frozen, sizes)
+            for t in range(reach + 1):
+                assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
+            for t in range(tau_intra + 1):
+                assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
 
 
 # ---------------------------------------------------------------------

@@ -3,7 +3,19 @@ import math
 
 import pytest
 
-from cluster_consensus import ConfigError, ScenarioSpec, parse_config_text
+from cluster_consensus import (
+    ConfigError,
+    ScenarioSpec,
+    StepSizes,
+    advance,
+    build_clustered_network,
+    init_state,
+    parse_config_text,
+    preset_large,
+    preset_small,
+    sample_initial_values,
+    scenario,
+)
 
 
 def make_spec(**overrides):
@@ -171,3 +183,42 @@ def test_from_dict_rejects_bad_record_stride(value):
     data["record_stride"] = value
     with pytest.raises(ConfigError, match="record_stride"):
         ScenarioSpec.from_dict(data)
+
+
+# The presets, the shapes the benchmark runs (preset_large, the largest
+# criterion-1 instance, criterion 9's network at its longest follower delay
+# and the two wide-cluster networks) and preset_large at a long delay.
+PEAK_SHAPES = {
+    "preset-small": preset_small(),
+    "preset-large": preset_large(),
+    "criterion-1": ScenarioSpec(family="geometric", cluster_sizes=(10,) * 5,
+                                radius=0.8, gamma=0.5, beta=0.01, tau=10, d=3,
+                                seed=1000, max_iters=500),
+    "intra-delay": ScenarioSpec(family="geometric", cluster_sizes=(20,) * 5,
+                                radius=0.3, gamma=0.5, beta=0.05, tau=20,
+                                tau_intra=15, seed=23, max_iters=20_000),
+    "wide-ring": ScenarioSpec(family="ring", cluster_sizes=(401, 801), gamma=0.5,
+                              beta=0.05, tau=20, seed=23, max_iters=1000),
+    "wide-geometric": ScenarioSpec(family="geometric", cluster_sizes=(401, 801),
+                                   radius=0.1, gamma=0.5, beta=0.05, tau=20,
+                                   seed=23, max_iters=1000),
+    "preset-large-tau-1000": preset_large().replace(tau=1000),
+}
+
+
+@pytest.mark.parametrize("name", list(PEAK_SHAPES))
+def test_peak_bytes_covers_buffer_and_gather(monkeypatch, name):
+    """Without the per-pair charge for building and solving, the memory
+    estimate still covers the history buffer and the arrays of one sweep's
+    gather as the engine allocates them."""
+    spec = PEAK_SHAPES[name]
+    network = build_clustered_network(spec)
+    state = init_state(network, sample_initial_values(spec, network.total_nodes),
+                       spec.tau, spec.tau_intra)
+    advance(network, state, StepSizes(spec.gamma, spec.beta))
+    index, weight, hold = state._tables[2][0]
+    terms = index.size * spec.d * 8                 # one (width + 2, N, d) stack
+    allocated = (state._history.nbytes + index.nbytes + weight.nbytes + hold.nbytes
+                 + 2 * terms)
+    monkeypatch.setattr(scenario, "_BYTES_PER_PAIR", 0)
+    assert scenario._peak_bytes(spec) >= allocated

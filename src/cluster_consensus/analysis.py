@@ -33,7 +33,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .topology import spectral_summary
+from .topology import eta, max_stable_beta, spectral_summary  # noqa: F401
 
 VERIFY_SLACK = 1e-9
 
@@ -113,38 +113,6 @@ def diagnostics(state) -> DiagnosticsRecord:
 
 
 # ---------------------------------------------------------------------
-# step-size algebra
-# ---------------------------------------------------------------------
-
-def max_stable_beta(delta_c: float, tau: int) -> float:
-    """Largest leader step size with a contracting envelope: for tau >= 1
-    this is 1 - delta_c^(1/tau); without delay it degenerates to
-    1 - delta_c."""
-    if not (0.0 < delta_c < 1.0):
-        raise DomainError(f"delta_c must lie in (0, 1), got {delta_c}")
-    if not (isinstance(tau, Integral) and tau >= 0):
-        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
-    if tau == 0:
-        return 1.0 - delta_c
-    return 1.0 - delta_c ** (1.0 / tau)
-
-
-def eta(beta: float, delta_c: float, tau: int) -> float:
-    """Leader-disagreement contraction rate 1 - beta + delta_c*beta/(1-beta)^tau.
-
-    Defined for beta in [0, 1); at beta = 1 the delay correction degenerates.
-    delta_c = 0 (single leader) is allowed and gives 1 - beta.
-    """
-    if not (0.0 <= beta < 1.0):
-        raise DomainError(f"beta must lie in [0, 1) for eta, got {beta}")
-    if not (0.0 <= delta_c < 1.0):
-        raise DomainError(f"delta_c must lie in [0, 1), got {delta_c}")
-    if not (isinstance(tau, Integral) and tau >= 0):
-        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
-    return 1.0 - beta + delta_c * beta / (1.0 - beta) ** tau
-
-
-# ---------------------------------------------------------------------
 # bound parameters
 # ---------------------------------------------------------------------
 
@@ -166,6 +134,7 @@ class BoundParams:
     gamma: float
     beta: float
     eta: float | None
+    beta_admissible: bool
     p_max: float
     follower_init_norms: tuple
     leader_init_norm: float
@@ -173,12 +142,8 @@ class BoundParams:
     fingerprint: str
 
     @property
-    def beta_admissible(self) -> bool:
-        return 0.0 < self.beta < self.beta_max
-
-    @property
     def leader_applicable(self) -> bool:
-        return self.beta_admissible and self.eta is not None
+        return self.beta_admissible     # beta < beta_max <= 1, so eta is set
 
     @property
     def follower_applicable(self) -> bool:
@@ -197,8 +162,6 @@ def bound_params(network, spec) -> BoundParams:
     vals = sample_initial_values(spec, network.total_nodes)
     blocks = [vals[list(c.follower_ids)] for c in network.clusters]
     leaders = np.stack([vals[c.leader_id] for c in network.clusters])
-    rate = (eta(spec.beta, summary.delta_c, spec.tau)
-            if spec.beta < 1.0 else None)
     return BoundParams(
         sigma_per_cluster=summary.sigma_per_cluster,
         delta_c=summary.delta_c,
@@ -207,7 +170,8 @@ def bound_params(network, spec) -> BoundParams:
         tau_intra=spec.tau_intra,
         gamma=spec.gamma,
         beta=spec.beta,
-        eta=rate,
+        eta=summary.rate(spec.beta),
+        beta_admissible=summary.admits(spec.beta),
         p_max=float(np.linalg.norm(vals, axis=1).max()),
         follower_init_norms=tuple(float(np.linalg.norm(b)) for b in blocks),
         leader_init_norm=float(np.linalg.norm(leaders)),

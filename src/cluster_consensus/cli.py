@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import BoundParams, bound_params, envelopes, eta, verify_bounds
+from .analysis import BoundParams, bound_params, envelopes, verify_bounds
 from .engine import RunResult, Trace, run_until
 from .errors import (
     ConfigError,
@@ -175,19 +175,16 @@ class RunManifest:
 def build_manifest(spec: ScenarioSpec, network, result: RunResult,
                    artifacts: dict) -> RunManifest:
     summary = spectral_summary(network, spec.tau)
-    admissible = 0.0 < spec.beta < summary.beta_max
-    rate = (eta(spec.beta, summary.delta_c, spec.tau)
-            if spec.beta < 1.0 else None)
     return RunManifest(
         config=spec.to_dict(),
         spectral={
             "sigma_per_cluster": list(summary.sigma_per_cluster),
             "delta_c": summary.delta_c,
             "beta_max": summary.beta_max,
-            "eta": rate,
+            "eta": summary.rate(spec.beta),
         },
         admissibility={
-            "verdict": "admissible" if admissible else "inadmissible",
+            "verdict": _verdict(summary, spec.beta),
             "beta": spec.beta,
             "beta_max": summary.beta_max,
         },
@@ -199,6 +196,10 @@ def build_manifest(spec: ScenarioSpec, network, result: RunResult,
         },
         artifacts=artifacts,
     )
+
+
+def _verdict(summary, beta: float) -> str:
+    return "admissible" if summary.admits(beta) else "inadmissible"
 
 
 def manifest_path(trace_path) -> Path:
@@ -241,13 +242,10 @@ def cmd_spectral(args) -> int:
         print(f"sigma_{a + 1} = {_fmt(sigma)}")
     print(f"delta_c = {_fmt(summary.delta_c)}")
     print(f"beta_max = {_fmt(summary.beta_max)}")
-    if spec.beta < 1.0:
-        print(f"eta(beta={spec.beta}) = "
-              f"{_fmt(eta(spec.beta, summary.delta_c, spec.tau))}")
-    else:
-        print(f"eta(beta={spec.beta}) = n/a (beta = 1)")
-    verdict = "admissible" if 0.0 < spec.beta < summary.beta_max else "inadmissible"
-    print(f"verdict: {verdict}")
+    rate = summary.rate(spec.beta)
+    print(f"eta(beta={spec.beta}) = "
+          + ("n/a (beta = 1)" if rate is None else _fmt(rate)))
+    print(f"verdict: {_verdict(summary, spec.beta)}")
     return EXIT_OK
 
 

@@ -107,11 +107,7 @@ class NetworkState:
         self._slot = self._reach + 1            # the slot of iteration k
         self._history = np.empty((length,) + rows.shape)
         self._history[:self._slot + 1] = rows
-        self._tables = None                     # (network, steps, sweep tables)
-
-    @property
-    def dimension(self) -> int:
-        return self._history.shape[2]
+        self._tables = None                     # (network, steps, sweep table)
 
     def _at(self, reach, offset):
         if not (0 <= offset <= reach):
@@ -217,22 +213,22 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
 # one-step updates
 # ---------------------------------------------------------------------
 
-def _sweep_table(network, matrix, state: NetworkState, steps: StepSizes) -> tuple:
-    """The table of one sweep with `matrix` mixing the leaders: ids
-    (width + 2, N) into the window of iterations k - reach .. k flattened
-    to (reach + 1) * N rows, weights (width + 2, N, 1) and the step that
-    scales each row's mixing sum, (N, 1).
+def _sweep_table(network, state: NetworkState, steps: StepSizes) -> tuple:
+    """The table of every sweep of a run: ids (width + 2, N) into the
+    window of iterations k - reach .. k flattened to (reach + 1) * N rows,
+    weights (width + 2, N, 1) and the step that scales each row's mixing
+    sum, (N, 1).
 
-    Slots 0..width hold a row's slots of its follower or leader neighbour
-    table (topology._ellpack), read tau_intra iterations ago for a
-    follower and tau for a leader.  The narrower table is padded to the
-    wider one as _ellpack pads: weight 0.0 at the row's own slot-0 id.
-    The last slot is the tracking term, gamma times the own leader read
-    tau_intra iterations ago for a follower and 1 - beta times the own
-    current state for a leader.
+    Slots 0..width hold a row's slots of the follower neighbour table or of
+    the leader exchange matrix's table (topology._ellpack), read tau_intra
+    iterations ago for a follower and tau for a leader.  The narrower table
+    is padded to the wider one as _ellpack pads: weight 0.0 at the row's
+    own slot-0 id.  The last slot is the tracking term, gamma times the own
+    leader read tau_intra iterations ago for a follower and 1 - beta times
+    the own current state for a leader.
     """
     f_index, f_weight = network._follower_table
-    l_index, l_weight = matrix._neighbour_table
+    l_index, l_weight = network.leader_weights._neighbour_table
     split, reach = state._split, state._reach
     n = split + l_index.shape[1]
     parts = (split, n - split)                  # follower rows, leader rows
@@ -276,22 +272,19 @@ def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
     the new states go straight into the buffer slot of iteration k + 1.
 
     The first sweep with a given network and step sizes builds the sweep
-    table, one per leader schedule matrix, each chosen at the iterations
-    where the schedule applies it.  The window is read whole before the
-    new slot is written, which never lies inside it.
+    table, which every later sweep reuses.  The window is read whole before
+    the new slot is written, which never lies inside it.
     """
     cached = state._tables
     if cached is None or cached[0] is not network or cached[1] is not steps:
-        cached = state._tables = (network, steps, tuple(
-            _sweep_table(network, m, state, steps)
-            for m in network.leader_schedule.matrices))
-    tables = cached[2]
+        cached = state._tables = (network, steps,
+                                  _sweep_table(network, state, steps))
     history, slot, window = state._history, state._slot + 1, state._reach + 1
     if slot == len(history):
         history[:window] = history[slot - window:]
         slot = window
     rows = history[slot - window:slot].reshape(-1, history.shape[2])
-    _sweep(tables[state.k % len(tables)], rows, out=history[slot])
+    _sweep(cached[2], rows, out=history[slot])
     state._slot = slot
     state.k += 1
     return state

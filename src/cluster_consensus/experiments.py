@@ -106,7 +106,7 @@ def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
             "tau": tau,
             "converged": result.converged,
             "iterations": result.iterations,
-            "admissible": 0.0 < spec.beta < summary.beta_max,
+            "admissible": summary.admits(spec.beta),
             "beta_max": summary.beta_max,
         })
     done = [r for r in rows if r["converged"]]
@@ -155,7 +155,7 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
     network, and their ratio (the time-scale separation indicator).
     """
     network = build_clustered_network(base)
-    admissible = 0.0 < base.beta < spectral_summary(network, base.tau).beta_max
+    admissible = spectral_summary(network, base.tau).admits(base.beta)
     rows = []
     for tau_intra in sorted(int(t) for t in tau_intra_values):
         spec = base.replace(tau_intra=tau_intra)

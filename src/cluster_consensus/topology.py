@@ -3,11 +3,13 @@
 A clustered network consists of r clusters, each holding one leader and a
 connected graph of followers, plus a connected graph over the leaders
 themselves.  Followers mix through a doubly stochastic weight matrix built
-from the max-degree rule; leaders mix through a (possibly time-varying)
-doubly stochastic matrix with a positive diagonal.  The convergence theory
-consumes two spectral quantities computed here: the second largest singular
-value sigma_a of each follower matrix and the worst-case counterpart delta_c
-of the leader schedule.
+from the max-degree rule; leaders mix through one doubly stochastic matrix
+with a positive diagonal, the leader exchange matrix.  The convergence
+theory consumes two spectral quantities computed here: the second largest
+singular value sigma_a of each follower matrix and its counterpart delta_c
+of the leader exchange matrix.  From delta_c and the delay tau follow the
+largest admissible leader step size beta_max and the leader contraction
+rate eta, decided in one place (`SpectralSummary`).
 
 The engine applies the matrices through padded neighbour tables in ELLPACK
 form: slot 0 of each row holds the row's own diagonal entry and the slots
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -88,9 +91,6 @@ class AdjacencyGraph:
 
     def neighbors(self, i: int) -> tuple:
         return self._adjacency[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
 
     def degrees(self) -> np.ndarray:
         return np.array([len(n) for n in self._adjacency], dtype=int)
@@ -356,77 +356,66 @@ def second_largest_singular_value(weights) -> float:
 
 
 # =====================================================================
-# leader schedule
+# step-size algebra
 # =====================================================================
 
-@dataclass(frozen=True, eq=False)
-class LeaderSchedule:
-    """Sequence of leader mixing matrices, one per iteration.
+def _beta_max(delta_c: float, tau: int) -> float:
+    """1 - delta_c^(1/tau), or 1 - delta_c without delay."""
+    return 1.0 - delta_c ** (1.0 / tau) if tau else 1.0 - delta_c
 
-    mode "static" uses a single matrix forever; mode "cyclic" rotates
-    through the list.  Every matrix must share the leader count and have a
-    connected support graph, so the inter-leader network is connected at
-    every iteration.
+
+def max_stable_beta(delta_c: float, tau: int) -> float:
+    """Largest leader step size with a contracting envelope: for tau >= 1
+    this is 1 - delta_c^(1/tau); without delay it degenerates to
+    1 - delta_c."""
+    if not (0.0 < delta_c < 1.0):
+        raise DomainError(f"delta_c must lie in (0, 1), got {delta_c}")
+    if not (isinstance(tau, Integral) and tau >= 0):
+        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
+    return _beta_max(delta_c, tau)
+
+
+def eta(beta: float, delta_c: float, tau: int) -> float:
+    """Leader-disagreement contraction rate 1 - beta + delta_c*beta/(1-beta)^tau.
+
+    Defined for beta in [0, 1); at beta = 1 the delay correction degenerates.
+    delta_c = 0 (single leader) is allowed and gives 1 - beta.
     """
-
-    matrices: tuple
-    mode: str = "static"
-
-    def __post_init__(self):
-        mats = tuple(self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if not mats:
-            raise ConfigError("leader schedule needs at least one matrix")
-        if self.mode not in ("static", "cyclic"):
-            raise ConfigError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "static" and len(mats) != 1:
-            raise ConfigError("static schedule takes exactly one matrix")
-        r = mats[0].size
-        for m in mats:
-            if m.size != r:
-                raise ShapeError("all schedule matrices must have the same size")
-            if not m.support.is_connected():
-                raise TopologyError("leader graph must be connected at every iteration")
-
-    @property
-    def size(self) -> int:
-        return self.matrices[0].size
-
-    def matrix_at(self, k: int) -> WeightMatrix:
-        if self.mode == "static":
-            return self.matrices[0]
-        return self.matrices[k % len(self.matrices)]
-
-
-def delta_c(schedule: LeaderSchedule) -> float:
-    """Worst-case second largest singular value across the schedule.
-
-    For a single leader this is 0 by convention (a 1x1 matrix has no
-    disagreement direction).
-    """
-    return max(m.sigma for m in schedule.matrices)
+    if not (0.0 <= beta < 1.0):
+        raise DomainError(f"beta must lie in [0, 1) for eta, got {beta}")
+    if not (0.0 <= delta_c < 1.0):
+        raise DomainError(f"delta_c must lie in [0, 1), got {delta_c}")
+    if not (isinstance(tau, Integral) and tau >= 0):
+        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
+    return 1.0 - beta + delta_c * beta / (1.0 - beta) ** tau
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral inputs of the convergence bounds for one network and delay."""
+    """Spectral inputs of the convergence bounds for one network and delay.
+    A single leader has delta_c = 0 (a 1x1 matrix has no disagreement
+    direction) and beta_max = 1."""
 
     sigma_per_cluster: tuple
     delta_c: float
     tau: int
     beta_max: float
 
+    def admits(self, beta: float) -> bool:
+        """Whether the leader envelope contracts: 0 < beta < beta_max."""
+        return 0.0 < beta < self.beta_max
+
+    def rate(self, beta: float) -> float | None:
+        """eta at this beta; None at beta = 1, where it is not defined."""
+        return eta(beta, self.delta_c, self.tau) if beta < 1.0 else None
+
 
 def spectral_summary(network: "ClusteredNetwork", tau: int) -> SpectralSummary:
     if tau < 0:
         raise DomainError(f"tau must be non-negative, got {tau}")
     sigmas = tuple(c.follower_weights.sigma for c in network.clusters)
-    dc = delta_c(network.leader_schedule)
-    if tau >= 1:
-        beta_max = 1.0 - dc ** (1.0 / tau)
-    else:
-        beta_max = 1.0 - dc
-    return SpectralSummary(sigmas, dc, int(tau), beta_max)
+    dc = network.leader_weights.sigma
+    return SpectralSummary(sigmas, dc, int(tau), _beta_max(dc, tau))
 
 
 # =====================================================================
@@ -446,15 +435,14 @@ class Cluster:
     leader_id: int
     follower_ids: tuple
 
-    @property
-    def size(self) -> int:
-        return len(self.follower_ids) + 1
-
 
 @dataclass(frozen=True, eq=False)
 class ClusteredNetwork:
+    """The clusters and the leader exchange matrix, whose row a is the
+    leader of clusters[a] and whose support must be connected."""
+
     clusters: tuple
-    leader_schedule: LeaderSchedule
+    leader_weights: WeightMatrix
     total_nodes: int
 
     def __post_init__(self):
@@ -468,16 +456,10 @@ class ClusteredNetwork:
             raise TopologyError(
                 f"cluster sizes sum to {len(ids)}, expected {self.total_nodes}"
             )
-        if self.leader_schedule.size != len(self.clusters):
-            raise ShapeError("leader schedule size must match the cluster count")
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def leader_ids(self) -> tuple:
-        return tuple(c.leader_id for c in self.clusters)
+        if self.leader_weights.size != len(self.clusters):
+            raise ShapeError("leader matrix size must match the cluster count")
+        if not self.leader_weights.support.is_connected():
+            raise TopologyError("leader graph must be connected")
 
     @cached_property
     def _follower_table(self) -> tuple:
@@ -533,5 +515,4 @@ def build_clustered_network(spec) -> "ClusteredNetwork":
         lg = AdjacencyGraph.from_edges(r, spec.leader_edges)
     else:  # pragma: no cover - scenario validation rejects this earlier
         raise ConfigError(f"unknown leader graph {spec.leader_graph!r}")
-    schedule = LeaderSchedule((metropolis_weights(lg),), mode="static")
-    return ClusteredNetwork(tuple(clusters), schedule, offset)
+    return ClusteredNetwork(tuple(clusters), metropolis_weights(lg), offset)

@@ -53,6 +53,7 @@ def simulate_dense(network, initial, gamma, beta, tau, tau_intra=0,
         initial = initial[:, None]
     states = [initial.copy()]
     leader_ids = [c.leader_id for c in network.clusters]
+    v = network.leader_weights.entries
     for k in range(steps):
         cur = states[-1]
         intra = states[max(k - tau_intra, 0)]
@@ -63,7 +64,6 @@ def simulate_dense(network, initial, gamma, beta, tau, tau_intra=0,
             w = cl.follower_weights.entries
             new[ids] = ((1.0 - gamma) * (w @ intra[ids])
                         + gamma * intra[cl.leader_id])
-        v = network.leader_schedule.matrix_at(k).entries
         delayed_leaders = inter[leader_ids]
         current_leaders = cur[leader_ids]
         mixed = (1.0 - beta) * current_leaders + beta * (v @ delayed_leaders)

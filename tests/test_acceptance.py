@@ -115,9 +115,9 @@ EQUIVALENCE_INSTANCES = [
 
 
 def _global(network, state):
-    out = np.zeros((network.total_nodes, state.dimension))
+    out = np.zeros((network.total_nodes, state.followers_at(0).shape[1]))
     out[[i for cl in network.clusters for i in cl.follower_ids]] = state.followers_at(0)
-    out[list(network.leader_ids)] = state.leaders_at(0)
+    out[[c.leader_id for c in network.clusters]] = state.leaders_at(0)
     return out
 
 

@@ -75,6 +75,28 @@ def test_spectral_flags_inadmissible(tmp_path, capsys):
     assert "verdict: inadmissible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("beta,tau,lines", [
+    (1.0, 3, ["delta_c = 0", "beta_max = 1", "eta(beta=1.0) = n/a (beta = 1)",
+              "verdict: inadmissible"]),
+    (0.3, 0, ["delta_c = 0", "beta_max = 1", "eta(beta=0.3) = 0.69999999999999996",
+              "verdict: admissible"]),
+], ids=["unit_beta", "no_delay"])
+def test_spectral_single_leader(tmp_path, capsys, beta, tau, lines):
+    """One leader: delta_c = 0 and beta_max = 1, so beta = 1 is not below
+    it and has no rate, while any smaller beta is admissible."""
+    config, _ = tiny_config(tmp_path, cluster_sizes=(6,), seed=1, tau=tau, beta=beta)
+    assert main(["spectral", "--config", str(config)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("sigma_1 = ")
+    assert out[1:] == lines
+
+
+def test_disconnected_leader_graph_is_topology_error(tmp_path, capsys):
+    config, _ = tiny_config(tmp_path, leader_graph="explicit", leader_edges=[(0, 1)])
+    assert main(["spectral", "--config", str(config)]) == 4
+    assert "connected" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------
@@ -113,6 +135,17 @@ def test_run_writes_trace_and_manifest(tmp_path):
     assert manifest["outcome"]["converged"] is True
     assert manifest["outcome"]["iterations"] == result.iterations
     assert "timestamp" not in json.dumps(manifest).lower()
+
+
+def test_run_manifest_has_no_rate_at_unit_beta(tmp_path):
+    config, _ = tiny_config(tmp_path, beta=1.0, max_iters=20)
+    trace_path = tmp_path / "out.csv"
+    main(["run", "--config", str(config), "--trace", str(trace_path)])
+    text = (tmp_path / "out.manifest.json").read_text()
+    assert '"eta": null' in text
+    manifest = json.loads(text)
+    assert manifest["spectral"]["eta"] is None
+    assert manifest["admissibility"]["verdict"] == "inadmissible"
 
 
 def test_run_with_bounds_appends_columns(tmp_path):
@@ -265,6 +298,22 @@ def test_preset_small_trace_digest(tmp_path):
     assert digest == PRESET_SMALL_TRACE_SHA256, (
         f"preset_small trace digest is {digest}; if intentional, disclose the "
         "byte move in CHANGES.md and update the digest")
+
+
+# SHA-256 of the manifest of `run` on preset_small, with relative artifact paths
+PRESET_SMALL_MANIFEST_SHA256 = (
+    "2424a5831b8ccc1429a4d8d8dc92d5bed037fa9fb311bb086935f19ac3a67dd3")
+
+
+def test_preset_small_manifest_digest(tmp_path, monkeypatch):
+    """Manifest bytes may only move between versions on purpose."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "small", "--config", "small.json"]) == 0
+    assert main(["run", "--config", "small.json", "--trace", "out.csv"]) == 0
+    digest = hashlib.sha256((tmp_path / "out.manifest.json").read_bytes()).hexdigest()
+    assert digest == PRESET_SMALL_MANIFEST_SHA256, (
+        f"preset_small manifest digest is {digest}; if intentional, disclose "
+        "the byte move in CHANGES.md and update the digest")
 
 
 def test_document_with_retired_record_stride(tmp_path):

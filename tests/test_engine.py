@@ -7,21 +7,16 @@ from hypothesis import strategies as st
 
 import oracle
 from cluster_consensus import (
-    ClusteredNetwork,
     DiagnosticsRecord,
     DomainError,
-    LeaderSchedule,
     NumericError,
     ScenarioSpec,
     ShapeError,
     StepSizes,
     advance,
     build_clustered_network,
-    complete_graph,
     diagnostics,
     init_state,
-    line_graph,
-    metropolis_weights,
     run,
     run_until,
     sample_initial_values,
@@ -31,12 +26,16 @@ from cluster_consensus import (
 from cluster_consensus import engine, topology
 
 
+def leader_ids(network):
+    return [c.leader_id for c in network.clusters]
+
+
 def global_state(network, state):
     """Reassemble the engine's follower and leader stacks into one (N, d)
     array indexed by global node id."""
-    out = np.zeros((network.total_nodes, state.dimension))
+    out = np.zeros((network.total_nodes, state.followers_at(0).shape[1]))
     out[[i for cl in network.clusters for i in cl.follower_ids]] = state.followers_at(0)
-    out[list(network.leader_ids)] = state.leaders_at(0)
+    out[leader_ids(network)] = state.leaders_at(0)
     return out
 
 
@@ -114,7 +113,7 @@ def test_step_sizes_beta_one_allowed():
 def test_init_state_promotes_vector(tiny_network):
     vals = np.arange(12, dtype=float)
     state = init_state(tiny_network, vals, tau=0)
-    assert state.dimension == 1
+    assert state.followers_at(0).shape[1] == 1
     assert state.followers_at(0)[:, 0].tolist() == [1, 2, 3, 5, 6, 7, 9, 10, 11]
     assert state.leaders_at(0)[:, 0].tolist() == [0, 4, 8]
 
@@ -190,27 +189,13 @@ def test_engine_matches_dense_reference(kw):
         assert np.allclose(got, want, atol=1e-12), f"diverged at step {k}"
 
 
-def test_engine_matches_reference_with_cyclic_schedule(tiny_spec):
-    base = build_clustered_network(tiny_spec)
-    schedule = LeaderSchedule(
-        (metropolis_weights(line_graph(3)), metropolis_weights(complete_graph(3))),
-        mode="cyclic",
-    )
-    network = ClusteredNetwork(base.clusters, schedule, base.total_nodes)
-    init, states = trajectory(network, tiny_spec, 30)
-    ref = oracle.simulate_dense(network, init, tiny_spec.gamma, tiny_spec.beta,
-                               tiny_spec.tau, steps=30)
-    for got, want in zip(states, ref):
-        assert np.allclose(got, want, atol=1e-12)
-
-
 def test_beta_one_pure_mixing(tiny_spec, tiny_network):
     # with beta = 1 and tau = 0 the leaders apply the mixing matrix directly
     init = sample_initial_values(tiny_spec, 12)
     state = init_state(tiny_network, init, tau=0)
     before = state.leaders_at(0).copy()
     advance(tiny_network, state, StepSizes(0.5, 1.0))
-    v = tiny_network.leader_schedule.matrix_at(0).entries
+    v = tiny_network.leader_weights.entries
     assert np.allclose(state.leaders_at(0), v @ before, atol=1e-14)
 
 
@@ -303,8 +288,7 @@ def assert_sweep_matches_reference(network, state, sizes):
     for a, got in enumerate(cluster_blocks(state, new.followers_at(0))):
         want = reference_follower_step(network, state, a, sizes.gamma)
         assert got.tobytes() == want.tobytes(), f"cluster {a}"
-    v_k = network.leader_schedule.matrix_at(state.k)
-    want = reference_leader_step(state, sizes.beta, v_k)
+    want = reference_leader_step(state, sizes.beta, network.leader_weights)
     assert new.leaders_at(0).tobytes() == want.tobytes(), "leaders"
     assert_records_close(diagnostics(state), reference_diagnostics(state), 1e-13)
     assert repr(stopping_metric(state)) == repr(reference_stopping_metric(state))
@@ -321,9 +305,10 @@ def connected_edges(draw, node_count):
 
 
 @st.composite
-def networks(draw, family, cyclic, d, tau_intra):
+def networks(draw, family, d, tau_intra):
     """A small scenario of the given family, dimension and follower delay
-    and a network for it, with a cyclic leader schedule when asked."""
+    and a network for it.  A complete graph of four leaders over ring
+    followers makes the leader table the wider one."""
     r = draw(st.integers(1, 4))
     low = 4 if family == "ring" else 2
     sizes = tuple(draw(st.lists(st.integers(low, 9), min_size=r, max_size=r)))
@@ -337,28 +322,21 @@ def networks(draw, family, cyclic, d, tau_intra):
         gamma=draw(st.floats(0.05, 0.95)), beta=draw(st.floats(0.05, 1.0)),
         tau=draw(st.integers(0, 5)), tau_intra=tau_intra, d=d,
         seed=draw(st.integers(0, 10_000)),
+        leader_graph=draw(st.sampled_from(["line", "complete"])),
         max_iters=25, **extra,
     )
-    network = build_clustered_network(spec)
-    if cyclic:
-        schedule = LeaderSchedule(
-            (metropolis_weights(line_graph(r)),
-             metropolis_weights(line_graph(r) if r < 3 else complete_graph(r)),
-             network.leader_schedule.matrices[0]),
-            mode="cyclic",
-        )
-        network = ClusteredNetwork(network.clusters, schedule, network.total_nodes)
-    return spec, network
+    return spec, build_clustered_network(spec)
 
 
 @pytest.mark.parametrize("tau_intra", [0, 2])
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("cyclic", [False, True], ids=["static", "cyclic"])
-@pytest.mark.parametrize("family", ["ring", "geometric", "explicit"])
+# "static": one leader exchange matrix for the whole run
+@pytest.mark.parametrize("family", ["ring", "geometric", "explicit"],
+                         ids=lambda family: f"{family}-static")
 @settings(derandomize=True, max_examples=5, deadline=None, database=None)
 @given(data=st.data())
-def test_updates_match_per_node_reference(family, cyclic, d, tau_intra, data):
-    spec, network = data.draw(networks(family, cyclic, d, tau_intra))
+def test_updates_match_per_node_reference(family, d, tau_intra, data):
+    spec, network = data.draw(networks(family, d, tau_intra))
     init = sample_initial_values(spec, network.total_nodes)
     state = init_state(network, init, spec.tau, spec.tau_intra)
     sizes = StepSizes(spec.gamma, spec.beta)
@@ -547,11 +525,11 @@ def test_sweep_pads_leader_table_narrower_than_followers(d, negative_zero, data)
         tau=data.draw(st.integers(0, 4)), tau_intra=data.draw(st.integers(0, 3)), d=d,
         seed=data.draw(st.integers(0, 10_000)), max_iters=10)
     network = build_clustered_network(spec)
-    leader_table = network.leader_schedule.matrices[0]._neighbour_table
+    leader_table = network.leader_weights._neighbour_table
     assert len(leader_table[0]) <= 3 < len(network._follower_table[0])
     init = sample_initial_values(spec, network.total_nodes)
     if negative_zero:
-        init[list(network.leader_ids)] = -0.0
+        init[leader_ids(network)] = -0.0
         zeroed = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
         for cluster in itertools.compress(network.clusters, zeroed):
             init[list(cluster.follower_ids)] = -0.0
@@ -562,6 +540,35 @@ def test_sweep_pads_leader_table_narrower_than_followers(d, negative_zero, data)
         advance(network, state, sizes)
     if negative_zero:
         assert np.signbit(state.leaders_at(0)).all() and not state.leaders_at(0).any()
+
+
+@pytest.mark.parametrize("negative_zero", [False, True], ids=["signed", "minus-zero"])
+@pytest.mark.parametrize("r,tau,tau_intra,d", [(4, 0, 0, 1), (4, 3, 2, 3), (6, 5, 1, 2)])
+def test_sweep_pads_follower_table_narrower_than_leaders(r, tau, tau_intra, d,
+                                                         negative_zero):
+    """Ring clusters under a complete graph of leaders: the follower rows
+    carry padding slots that their own table lacks.  With negative_zero
+    every leader and the followers of the last cluster start at -0.0, so
+    their sums are -0.0 at every sweep.  Follower and leader rows equal
+    their per-node references to the bit."""
+    spec = ScenarioSpec(family="ring", cluster_sizes=tuple(range(4, 4 + r)),
+                        leader_graph="complete", gamma=0.45, beta=0.15, tau=tau,
+                        tau_intra=tau_intra, d=d, seed=r + tau, max_iters=10)
+    network = build_clustered_network(spec)
+    leader_width = len(network.leader_weights._neighbour_table[0])
+    assert len(network._follower_table[0]) == 3 < leader_width
+    init = sample_initial_values(spec, network.total_nodes)
+    if negative_zero:
+        init[leader_ids(network)] = -0.0
+        init[list(network.clusters[-1].follower_ids)] = -0.0
+    state = init_state(network, init, spec.tau, spec.tau_intra)
+    sizes = StepSizes(spec.gamma, spec.beta)
+    for _ in range(2 * max(tau, tau_intra) + 6):
+        assert_sweep_matches_reference(network, state, sizes)
+        advance(network, state, sizes)
+    if negative_zero:
+        last = cluster_blocks(state, state.followers_at(0))[-1]
+        assert np.signbit(last).all() and not last.any()
 
 
 def test_sweep_many_clusters():
@@ -614,11 +621,11 @@ def test_leader_average_recursion(tau):
                         beta=0.3, tau=tau, seed=2, max_iters=10)
     network = build_clustered_network(spec)
     _, states = trajectory(network, spec, 25)
-    leader_ids = list(network.leader_ids)
+    leaders = leader_ids(network)
     for k in range(25):
-        got = states[k + 1][leader_ids].mean(axis=0)
-        want = ((1 - spec.beta) * states[k][leader_ids].mean(axis=0)
-                + spec.beta * _states_with_clamp(states, k - tau)[leader_ids].mean(axis=0))
+        got = states[k + 1][leaders].mean(axis=0)
+        want = ((1 - spec.beta) * states[k][leaders].mean(axis=0)
+                + spec.beta * _states_with_clamp(states, k - tau)[leaders].mean(axis=0))
         assert np.allclose(got, want, atol=1e-12)
 
 
@@ -628,10 +635,10 @@ def test_leader_average_constant():
                         beta=0.25, tau=6, seed=14, max_iters=10, d=2)
     network = build_clustered_network(spec)
     _, states = trajectory(network, spec, 40)
-    leader_ids = list(network.leader_ids)
-    first = states[0][leader_ids].mean(axis=0)
+    leaders = leader_ids(network)
+    first = states[0][leaders].mean(axis=0)
     for s in states[1:]:
-        assert np.allclose(s[leader_ids].mean(axis=0), first, atol=1e-12)
+        assert np.allclose(s[leaders].mean(axis=0), first, atol=1e-12)
 
 
 def test_iterates_stay_bounded():

@@ -91,6 +91,18 @@ def test_tau_sweep_flags_admissibility():
     assert not by_tau[30]["admissible"]
 
 
+@pytest.mark.parametrize("overrides,taus,admissible", [
+    # delta_c = 2/3: beta_max(tau) falls from 1/3 at tau <= 1 to 0.049 at 8
+    ({"beta": 0.06}, [0, 1, 5, 8], [True, True, True, False]),
+    # one leader: delta_c = 0 and beta_max = 1 at every delay
+    ({"cluster_sizes": (5,), "beta": 0.5}, [0, 4], [True, True]),
+    ({"cluster_sizes": (5,), "beta": 1.0}, [0, 4], [False, False]),
+], ids=["three_leaders", "one_leader", "one_leader_unit_beta"])
+def test_tau_sweep_admissible_column(overrides, taus, admissible):
+    result = tau_sweep(small_base(max_iters=5, **overrides), taus)
+    assert [r["admissible"] for r in result.rows] == admissible
+
+
 # ---------------------------------------------------------------------
 # rate study
 # ---------------------------------------------------------------------
@@ -168,6 +180,16 @@ def test_intra_delay_study_capped_rows():
     row = result.rows[0]
     assert not row["converged"]
     assert row["separation_ratio"] is None
+
+
+@pytest.mark.parametrize("overrides,admissible", [
+    ({"tau": 4}, True),
+    ({"tau": 4, "beta": 0.5}, False),
+    ({"cluster_sizes": (5,), "beta": 1.0}, False),
+], ids=["admissible", "beta_too_large", "one_leader_unit_beta"])
+def test_intra_delay_study_admissible_column(overrides, admissible):
+    result = intra_delay_study(small_base(max_iters=5, **overrides), [0, 3])
+    assert [r["admissible"] for r in result.rows] == [admissible, admissible]
 
 
 @pytest.mark.parametrize("study,values", [

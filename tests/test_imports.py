@@ -1,5 +1,6 @@
 import ast
 import sys
+import types
 from pathlib import Path
 
 import cluster_consensus
@@ -26,3 +27,11 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not foreign, foreign
+
+
+def test_export_list_names_every_public_attribute():
+    """__all__ and the package namespace name the same things, so a name
+    removed from one but not the other fails here."""
+    public = {name for name, value in vars(cluster_consensus).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(cluster_consensus.__all__) == sorted(public)

@@ -216,7 +216,7 @@ def test_peak_bytes_covers_buffer_and_gather(monkeypatch, name):
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
                        spec.tau, spec.tau_intra)
     advance(network, state, StepSizes(spec.gamma, spec.beta))
-    index, weight, hold = state._tables[2][0]
+    index, weight, hold = state._tables[2]
     terms = index.size * spec.d * 8                 # one (width + 2, N, d) stack
     allocated = (state._history.nbytes + index.nbytes + weight.nbytes + hold.nbytes
                  + 2 * terms)

@@ -4,10 +4,10 @@ import pytest
 import oracle
 from cluster_consensus import (
     AdjacencyGraph,
-    ConfigError,
+    Cluster,
+    ClusteredNetwork,
     ConstructionError,
     DomainError,
-    LeaderSchedule,
     NumericError,
     ScenarioSpec,
     ShapeError,
@@ -15,7 +15,6 @@ from cluster_consensus import (
     WeightMatrix,
     build_clustered_network,
     complete_graph,
-    delta_c,
     geometric_graph,
     line_graph,
     metropolis_weights,
@@ -43,7 +42,7 @@ def test_ring_graph_shape():
     g = ring_graph(5)
     assert g.node_count == 5
     assert len(g.edges) == 5
-    assert all(g.degree(i) == 2 for i in range(5))
+    assert all(len(g.neighbors(i)) == 2 for i in range(5))
     assert g.is_connected()
 
 
@@ -55,8 +54,8 @@ def test_ring_too_small():
 def test_line_graph_shape():
     g = line_graph(4)
     assert len(g.edges) == 3
-    assert g.degree(0) == 1 and g.degree(3) == 1
-    assert g.degree(1) == 2 and g.degree(2) == 2
+    assert len(g.neighbors(0)) == 1 and len(g.neighbors(3)) == 1
+    assert len(g.neighbors(1)) == 2 and len(g.neighbors(2)) == 2
 
 
 def test_line_graph_single_node():
@@ -69,7 +68,7 @@ def test_line_graph_single_node():
 def test_complete_graph_shape():
     g = complete_graph(4)
     assert len(g.edges) == 6
-    assert all(g.degree(i) == 3 for i in range(4))
+    assert all(len(g.neighbors(i)) == 3 for i in range(4))
 
 
 def test_edges_canonicalised():
@@ -103,7 +102,7 @@ def test_geometric_graph_deterministic():
 
 def test_connectivity_searched_once_per_graph():
     # geometric_graph's search is the one that metropolis_weights and
-    # LeaderSchedule read again
+    # ClusteredNetwork read again
     g = geometric_graph(15, 0.5, np.random.default_rng(3))
     assert vars(g)["_connected"] is True
     metropolis_weights(g)
@@ -320,62 +319,15 @@ def test_sigma_rejects_nan():
 
 
 # ---------------------------------------------------------------------
-# leader schedules
+# leader exchange matrix
 # ---------------------------------------------------------------------
 
-def _leader_matrix(graph):
-    return metropolis_weights(graph)
-
-
-def test_static_schedule():
-    s = LeaderSchedule((_leader_matrix(line_graph(3)),))
-    assert s.size == 3
-    assert s.matrix_at(0) is s.matrix_at(99)
-
-
-def test_static_schedule_single_matrix_only():
-    m = _leader_matrix(line_graph(3))
-    with pytest.raises(ConfigError):
-        LeaderSchedule((m, m), mode="static")
-
-
-def test_cyclic_schedule_wraps():
-    a = _leader_matrix(line_graph(3))
-    b = _leader_matrix(complete_graph(3))
-    s = LeaderSchedule((a, b), mode="cyclic")
-    assert s.matrix_at(0) is a
-    assert s.matrix_at(1) is b
-    assert s.matrix_at(4) is a
-
-
-def test_schedule_needs_matrices():
-    with pytest.raises(ConfigError):
-        LeaderSchedule(())
-
-
-def test_schedule_rejects_size_mismatch():
-    with pytest.raises(ShapeError):
-        LeaderSchedule(
-            (_leader_matrix(line_graph(3)), _leader_matrix(line_graph(4))),
-            mode="cyclic",
-        )
-
-
 def test_delta_c_line3():
-    s = LeaderSchedule((_leader_matrix(line_graph(3)),))
-    assert delta_c(s) == pytest.approx(2 / 3, abs=1e-12)
+    assert metropolis_weights(line_graph(3)).sigma == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_delta_c_single_leader():
-    s = LeaderSchedule((_leader_matrix(line_graph(1)),))
-    assert delta_c(s) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_delta_c_cyclic_takes_worst():
-    line = _leader_matrix(line_graph(3))     # sigma = 2/3
-    full = _leader_matrix(complete_graph(3))  # sigma = 0
-    s = LeaderSchedule((full, line), mode="cyclic")
-    assert delta_c(s) == pytest.approx(2 / 3, abs=1e-12)
+    assert metropolis_weights(line_graph(1)).sigma == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -385,12 +337,12 @@ def test_delta_c_cyclic_takes_worst():
 def test_build_small_network_layout(tiny_network, tiny_spec):
     net = tiny_network
     assert net.total_nodes == 12
-    assert net.cluster_count == 3
-    assert net.leader_ids == (0, 4, 8)
+    assert len(net.clusters) == 3
+    assert [c.leader_id for c in net.clusters] == [0, 4, 8]
     assert net.clusters[1].follower_ids == (5, 6, 7)
     for c in net.clusters:
         assert c.follower_weights.support.is_connected()
-        assert c.size == 4
+        assert len(c.follower_ids) + 1 == 4
 
 
 def test_build_is_deterministic():
@@ -438,23 +390,36 @@ def test_build_explicit_edges():
     net = build_clustered_network(spec)
     assert net.clusters[0].follower_weights.support.edges == frozenset(
         {(0, 1), (1, 2), (0, 2)})
-    assert net.leader_schedule.matrix_at(0).support.edges == frozenset({(0, 1)})
+    assert net.leader_weights.support.edges == frozenset({(0, 1)})
 
 
 def test_build_single_cluster():
     spec = ScenarioSpec(family="ring", cluster_sizes=(6,), gamma=0.5,
                         beta=0.2, tau=0, seed=1, max_iters=10)
     net = build_clustered_network(spec)
-    assert net.cluster_count == 1
-    assert np.allclose(net.leader_schedule.matrix_at(0).entries, [[1.0]])
+    assert len(net.clusters) == 1
+    assert np.allclose(net.leader_weights.entries, [[1.0]])
 
 
 def test_network_rejects_overlapping_clusters(tiny_network):
-    from cluster_consensus import Cluster, ClusteredNetwork
     c = tiny_network.clusters[0]
     dup = Cluster(c.follower_weights, c.leader_id, c.follower_ids)
     with pytest.raises(TopologyError):
-        ClusteredNetwork((c, dup), tiny_network.leader_schedule, 24)
+        ClusteredNetwork((c, dup), tiny_network.leader_weights, 24)
+
+
+def test_network_rejects_disconnected_leader_graph(tiny_network):
+    # doubly stochastic with a positive diagonal, but leader 2 talks to no one
+    support = AdjacencyGraph.from_edges(3, [(0, 1)])
+    w = WeightMatrix([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], support, 0.5)
+    with pytest.raises(TopologyError, match="connected"):
+        ClusteredNetwork(tiny_network.clusters, w, tiny_network.total_nodes)
+
+
+def test_network_rejects_leader_matrix_size_mismatch(tiny_network):
+    w = metropolis_weights(line_graph(4))
+    with pytest.raises(ShapeError):
+        ClusteredNetwork(tiny_network.clusters, w, tiny_network.total_nodes)
 
 
 def test_spectral_summary_small(tiny_network):

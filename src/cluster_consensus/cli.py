@@ -104,26 +104,26 @@ def trace_header(cluster_count: int, with_bounds: bool = False) -> list:
 def write_trace(trace: Trace, path, params: BoundParams | None = None):
     """Trace CSV: one row per iteration, envelope columns when params given.
 
-    Inapplicable envelope values are written as NA, never as numbers.
+    Inapplicable envelope values are written as NA, never as numbers.  Each
+    row goes through one format string, whose %.17g equals _fmt.
     """
     count = len(trace)
     if not count:
         raise ConsensusError("refusing to write an empty trace")
     r = trace.follower_disagreement.shape[1]
-    bounds = [[]] * count
+    columns = [np.arange(count), trace.follower_disagreement,
+               trace.leader_disagreement, trace.leader_follower_gap, trace.global_error]
+    cells = ["%d"] + ["%.17g"] * (2 * r + 2)
     if params is not None:
-        columns = [  # L1, L2, L3 and T1, formatted family by family
-            [["NA"] * width] * count if values is None
-            else [[_fmt(v) for v in row]
-                  for row in values.reshape(count, width).tolist()]
-            for values, width in zip(envelopes(params, count), (r, 1, r, r))
-        ]
-        bounds = [sum(cells, []) for cells in zip(*columns)]
-    table = np.column_stack((trace.follower_disagreement, trace.leader_disagreement,
-                             trace.leader_follower_gap, trace.global_error))
+        for values, width in zip(envelopes(params, count), (r, 1, r, r)):
+            if values is None:
+                cells += ["NA"] * width
+            else:
+                cells += ["%.17g"] * width
+                columns.append(values)
+    row = ",".join(cells)
     lines = [",".join(trace_header(r, params is not None))]
-    for k, (values, extra) in enumerate(zip(table.tolist(), bounds)):
-        lines.append(",".join([str(k)] + [_fmt(v) for v in values] + extra))
+    lines += [row % tuple(values) for values in np.column_stack(columns).tolist()]
     _write_text(path, "\n".join(lines) + "\n")
 
 

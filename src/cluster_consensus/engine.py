@@ -11,12 +11,14 @@ cluster and then all leaders, and one buffer keeps the recent iterations
 of that stack in consecutive slots, as deep as the longest delay.
 
 A sweep costs five numpy calls, whatever the delays, the degrees and the
-number of clusters.  Each run builds one padded neighbour table over all
-rows (`_sweep_table`) whose ids point into the window of the last
-max(tau, tau_intra) + 1 iterations, so a delayed read is a fixed offset;
-`_sweep` gathers every term at once and writes the new states straight
-into the buffer slot of the next iteration.  Every value equals the
-per-node accumulation bit for bit.
+number of clusters.  Each run builds one sweep table (`_sweep_table`) from
+one ELLPACK build (`_ellpack`) of the block-diagonal matrix of all follower
+matrices and the leader exchange matrix, diagonal first, so that one
+reduction over the slots sums each row in the per-node order.  Its ids
+point into the window of the last max(tau, tau_intra) + 1 iterations, so a
+delayed read is a fixed offset; `_sweep` gathers every term at once and
+writes the new states straight into the buffer slot of the next iteration.
+Every value equals the per-node accumulation bit for bit.
 
 The run driver sweeps a block of iterations back to back and then
 evaluates the block at once, reading its states straight from the buffer
@@ -213,38 +215,62 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
 # one-step updates
 # ---------------------------------------------------------------------
 
+def _ellpack(blocks) -> tuple:
+    """Padded neighbour table in ELLPACK form (Bell & Garland, SC'09) of the
+    block-diagonal matrix with the given square blocks.
+
+    Returns the ids (width + 1, n) and the weights (width + 1, n, 1), where
+    n is the total size and width the largest row degree.  Slot 0 of row i
+    holds i itself with weight w_ii; slot s >= 1 holds the s-th neighbour
+    of i in ascending order, ids shifted by the offset of i's block.  Rows
+    with fewer neighbours are padded with their own id i and weight 0.0.
+    """
+    rows, cols, values = [], [], []
+    offset = 0
+    for w in blocks:
+        off = w.copy()
+        np.fill_diagonal(off, 0.0)
+        i, j = np.nonzero(off)
+        rows.append(i + offset)
+        cols.append(j + offset)
+        values.append(w[i, j])
+        offset += len(w)
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    counts = np.bincount(rows, minlength=offset)
+    width = int(counts.max()) if rows.size else 0
+    slots = 1 + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    index = np.tile(np.arange(offset), (width + 1, 1))
+    weight = np.zeros((width + 1, offset, 1))
+    weight[0, :, 0] = np.concatenate([np.diagonal(w) for w in blocks])
+    index[slots, rows] = cols
+    weight[slots, rows, 0] = values
+    return index, weight
+
+
 def _sweep_table(network, state: NetworkState, steps: StepSizes) -> tuple:
     """The table of every sweep of a run: ids (width + 2, N) into the
     window of iterations k - reach .. k flattened to (reach + 1) * N rows,
     weights (width + 2, N, 1) and the step that scales each row's mixing
     sum, (N, 1).
 
-    Slots 0..width hold a row's slots of the follower neighbour table or of
-    the leader exchange matrix's table (topology._ellpack), read tau_intra
-    iterations ago for a follower and tau for a leader.  The narrower table
-    is padded to the wider one as _ellpack pads: weight 0.0 at the row's
-    own slot-0 id.  The last slot is the tracking term, gamma times the own
-    leader read tau_intra iterations ago for a follower and 1 - beta times
-    the own current state for a leader.
+    Slots 0..width are the one _ellpack table of blockdiag(W_1 .. W_r, V),
+    read tau_intra iterations ago on a follower row and tau on a leader
+    row.  The last slot is the tracking term, gamma times the own leader
+    read tau_intra iterations ago for a follower and 1 - beta times the own
+    current state for a leader.
     """
-    f_index, f_weight = network._follower_table
-    l_index, l_weight = network.leader_weights._neighbour_table
-    split, reach = state._split, state._reach
-    n = split + l_index.shape[1]
+    index, weight = _ellpack([c.follower_weights.entries for c in network.clusters]
+                             + [network.leader_weights.entries])
+    split, reach, n = state._split, state._reach, index.shape[1]
     parts = (split, n - split)                  # follower rows, leader rows
-    slots = max(len(f_index), len(l_index))
-    index = np.tile(np.arange(n), (slots + 1, 1))
-    weight = np.zeros((slots + 1, n, 1))
-    index[:len(f_index), :split] = f_index
-    index[:len(l_index), split:] = l_index + split
-    weight[:len(f_index), :split] = f_weight
-    weight[:len(l_index), split:] = l_weight
-    index[-1, :split] = split + state.owner
-    weight[-1, :, 0] = np.repeat([steps.gamma, 1.0 - steps.beta], parts)
-    index[:-1] += (reach - np.repeat([state.tau_intra, state.tau], parts)) * n
-    index[-1] += (reach - np.repeat([state.tau_intra, 0], parts)) * n
+    own = np.concatenate([split + state.owner, np.arange(split, n)])
+    index = np.vstack([
+        index + (reach - np.repeat([state.tau_intra, state.tau], parts)) * n,
+        own + (reach - np.repeat([state.tau_intra, 0], parts)) * n,
+    ])
+    track = np.repeat([steps.gamma, 1.0 - steps.beta], parts)[None, :, None]
     hold = np.repeat([1.0 - steps.gamma, steps.beta], parts)[:, None]
-    return index, weight, hold
+    return index, np.concatenate([weight, track]), hold
 
 
 def _sweep(table, x: np.ndarray, out=None) -> np.ndarray:

@@ -64,7 +64,7 @@ class SweepResult:
 
     Rows are dicts sharing one key set per study; `fit` is a least-squares
     line over the converged rows where the study requests one, or None when
-    fewer than two rows terminated.
+    the converged rows hold fewer than two distinct values of the axis.
     """
 
     axis: str
@@ -77,7 +77,7 @@ class SweepResult:
 
 
 def _linear_fit(xs, ys) -> LinearFit | None:
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     x = np.asarray(xs, float)
     y = np.asarray(ys, float)

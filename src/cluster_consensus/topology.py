@@ -9,16 +9,8 @@ theory consumes two spectral quantities computed here: the second largest
 singular value sigma_a of each follower matrix and its counterpart delta_c
 of the leader exchange matrix.  From delta_c and the delay tau follow the
 largest admissible leader step size beta_max and the leader contraction
-rate eta, decided in one place (`SpectralSummary`).
-
-The engine applies the matrices through padded neighbour tables in ELLPACK
-form: slot 0 of each row holds the row's own diagonal entry and the slots
-after it its neighbours in ascending order, so a single reduction over the
-slots sums each row in the per-node order, at a cost in numpy calls that
-does not depend on the degree.  A row with fewer neighbours than the
-widest is padded with weight 0.0 at its own id, a term that leaves every
-sum as it is, a -0.0 included.  A graph searches its connectivity once and
-keeps the answer.
+rate eta, decided in one place (`SpectralSummary`).  A graph searches its
+connectivity once and keeps the answer, and a weight matrix its sigma.
 """
 
 from __future__ import annotations
@@ -257,46 +249,9 @@ class WeightMatrix:
         return self.support.node_count
 
     @cached_property
-    def _neighbour_table(self) -> tuple:
-        """This matrix as a padded neighbour table (see _ellpack)."""
-        return _ellpack([self.entries])
-
-    @cached_property
     def sigma(self) -> float:
         """second_largest_singular_value of this matrix, computed once."""
         return second_largest_singular_value(self)
-
-
-def _ellpack(blocks) -> tuple:
-    """Padded neighbour table in ELLPACK form (Bell & Garland, SC'09) of the
-    block-diagonal matrix with the given square blocks.
-
-    Returns the ids (width + 1, n) and the weights (width + 1, n, 1), where
-    n is the total size and width the largest row degree.  Slot 0 of row i
-    holds i itself with weight w_ii; slot s >= 1 holds the s-th neighbour
-    of i in ascending order, ids shifted by the offset of i's block.  Rows
-    with fewer neighbours are padded with their own id i and weight 0.0.
-    """
-    rows, cols, values = [], [], []
-    offset = 0
-    for w in blocks:
-        off = w.copy()
-        np.fill_diagonal(off, 0.0)
-        i, j = np.nonzero(off)
-        rows.append(i + offset)
-        cols.append(j + offset)
-        values.append(w[i, j])
-        offset += len(w)
-    rows, cols, values = map(np.concatenate, (rows, cols, values))
-    counts = np.bincount(rows, minlength=offset)
-    width = int(counts.max()) if rows.size else 0
-    slots = 1 + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    index = np.tile(np.arange(offset), (width + 1, 1))
-    weight = np.zeros((width + 1, offset, 1))
-    weight[0, :, 0] = np.concatenate([np.diagonal(w) for w in blocks])
-    index[slots, rows] = cols
-    weight[slots, rows, 0] = values
-    return index, weight
 
 
 def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
@@ -411,11 +366,11 @@ class SpectralSummary:
 
 
 def spectral_summary(network: "ClusteredNetwork", tau: int) -> SpectralSummary:
-    if tau < 0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
+    if not (isinstance(tau, Integral) and tau >= 0):
+        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
     sigmas = tuple(c.follower_weights.sigma for c in network.clusters)
     dc = network.leader_weights.sigma
-    return SpectralSummary(sigmas, dc, int(tau), _beta_max(dc, tau))
+    return SpectralSummary(sigmas, dc, int(tau), _beta_max(dc, int(tau)))
 
 
 # =====================================================================
@@ -460,13 +415,6 @@ class ClusteredNetwork:
             raise ShapeError("leader matrix size must match the cluster count")
         if not self.leader_weights.support.is_connected():
             raise TopologyError("leader graph must be connected")
-
-    @cached_property
-    def _follower_table(self) -> tuple:
-        """One block-diagonal neighbour table over all followers, stacked
-        cluster by cluster and padded to the largest degree in the network.
-        Built on the first sweep (see engine._sweep_table)."""
-        return _ellpack([c.follower_weights.entries for c in self.clusters])
 
 
 def build_clustered_network(spec) -> "ClusteredNetwork":

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from cluster_consensus import (
@@ -17,7 +20,7 @@ from cluster_consensus import (
     preset_small,
     run_until,
 )
-from cluster_consensus.cli import main, write_trace
+from cluster_consensus.cli import _fmt, main, write_trace
 
 R = 3   # cluster count of the tiny scenario below
 
@@ -236,6 +239,19 @@ def test_run_bounds_cells_match_per_iteration_bounds(tmp_path, changes):
         assert cells[first:] == want, k
 
 
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@settings(derandomize=True, max_examples=2000, deadline=None, database=None)
+@given(st.floats())
+def test_trace_row_format_equals_fmt(x):
+    """The %.17g of write_trace's row format prints every float as _fmt."""
+    assert "%.17g" % x == _fmt(x)
+
+
 def test_run_cap_exhaustion_exit_code(tmp_path):
     config, _ = tiny_config(tmp_path)
     trace_path = tmp_path / "out.csv"
@@ -437,6 +453,16 @@ def test_sweep_tau_artifacts(tmp_path):
                       "beta_max"]
     assert [r[0] for r in rows] == ["0", "2", "4"]
     assert rows[0][1] == "true"
+
+
+def test_sweep_tau_repeated_delay_report_has_no_fit(tmp_path):
+    config, _ = tiny_config(tmp_path)
+    report_path = tmp_path / "sweep.json"
+    assert main(["sweep-tau", "--config", str(config), "--taus", "5,5",
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert [r["tau"] for r in report["rows"]] == [5, 5]
+    assert "fit" not in report
 
 
 def test_sweep_tau_capped_exit(tmp_path):

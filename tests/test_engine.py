@@ -17,13 +17,15 @@ from cluster_consensus import (
     build_clustered_network,
     diagnostics,
     init_state,
+    preset_large,
+    preset_small,
     run,
     run_until,
     sample_initial_values,
     spectral_summary,
     stopping_metric,
 )
-from cluster_consensus import engine, topology
+from cluster_consensus import engine
 
 
 def leader_ids(network):
@@ -393,7 +395,7 @@ def assert_gather_sum_matches(blocks, x, width):
     """The sweep kernel on the blocks' table, with a last slot that tracks
     each row's own state and a step per row drawn at random, equals
     step * (per-node sum) + tracking term, to the bit."""
-    index, weight = topology._ellpack(blocks)
+    index, weight = engine._ellpack(blocks)
     n = len(x)
     assert index.shape == (width + 1, n) and weight.shape == (width + 1, n, 1)
     rng = np.random.default_rng(n * x.shape[1] + width)
@@ -462,6 +464,11 @@ def sweep_against_reference(spec, steps):
     return network
 
 
+def follower_table(network):
+    """The ELLPACK table of the followers' block-diagonal matrix alone."""
+    return engine._ellpack([c.follower_weights.entries for c in network.clusters])
+
+
 def ring_edges(n):
     return [(i, (i + 1) % n) for i in range(n)]
 
@@ -476,7 +483,7 @@ def test_sweep_single_follower_clusters(sizes, edges, width, tau_intra):
                         gamma=0.4, beta=0.3, tau=2, tau_intra=tau_intra, d=2,
                         seed=5, max_iters=10)
     network = sweep_against_reference(spec, 30)
-    index, weight = network._follower_table
+    index, weight = follower_table(network)
     followers = sum(sizes) - len(sizes)
     # slot 0 is each row's diagonal, the neighbour slots follow it
     assert index[0].tolist() == list(range(followers))
@@ -490,7 +497,7 @@ def test_sweep_pads_clusters_of_different_degree():
                         cluster_edges=(ring_edges(5), complete, [(0, 1), (1, 2)]),
                         gamma=0.6, beta=0.2, tau=3, d=3, seed=9, max_iters=10)
     network = sweep_against_reference(spec, 30)
-    index, weight = network._follower_table
+    index, weight = follower_table(network)
     assert index.shape == (9, 17)
     assert index[0].tolist() == list(range(17)) and (weight[0] > 0.0).all()
     # after the diagonal slot, each row fills as many leading slots as it
@@ -525,8 +532,9 @@ def test_sweep_pads_leader_table_narrower_than_followers(d, negative_zero, data)
         tau=data.draw(st.integers(0, 4)), tau_intra=data.draw(st.integers(0, 3)), d=d,
         seed=data.draw(st.integers(0, 10_000)), max_iters=10)
     network = build_clustered_network(spec)
-    leader_table = network.leader_weights._neighbour_table
-    assert len(leader_table[0]) <= 3 < len(network._follower_table[0])
+    leader_width = network.leader_weights.support.degrees().max()
+    assert leader_width <= 2 < max(c.follower_weights.support.degrees().max()
+                                   for c in network.clusters)
     init = sample_initial_values(spec, network.total_nodes)
     if negative_zero:
         init[leader_ids(network)] = -0.0
@@ -555,8 +563,9 @@ def test_sweep_pads_follower_table_narrower_than_leaders(r, tau, tau_intra, d,
                         leader_graph="complete", gamma=0.45, beta=0.15, tau=tau,
                         tau_intra=tau_intra, d=d, seed=r + tau, max_iters=10)
     network = build_clustered_network(spec)
-    leader_width = len(network.leader_weights._neighbour_table[0])
-    assert len(network._follower_table[0]) == 3 < leader_width
+    leader_width = network.leader_weights.support.degrees().max()
+    assert max(c.follower_weights.support.degrees().max()
+               for c in network.clusters) == 2 < leader_width
     init = sample_initial_values(spec, network.total_nodes)
     if negative_zero:
         init[leader_ids(network)] = -0.0
@@ -571,23 +580,88 @@ def test_sweep_pads_follower_table_narrower_than_leaders(r, tau, tau_intra, d,
         assert np.signbit(last).all() and not last.any()
 
 
+def block_diagonal(blocks):
+    n = sum(len(w) for w in blocks)
+    out = np.zeros((n, n))
+    offset = 0
+    for w in blocks:
+        out[offset:offset + len(w), offset:offset + len(w)] = w
+        offset += len(w)
+    return out
+
+
+SWEEP_TABLE_SPECS = {
+    "preset-small": preset_small(),
+    "preset-large": preset_large(),
+    "complete-leaders-over-rings": ScenarioSpec(
+        family="ring", cluster_sizes=(4, 5, 6, 7, 8, 9), leader_graph="complete",
+        gamma=0.45, beta=0.15, tau=3, tau_intra=1, d=2, seed=6, max_iters=10),
+    "single-follower-clusters": ScenarioSpec(
+        family="explicit", cluster_sizes=(2, 5, 2), cluster_edges=((), ring_edges(4), ()),
+        gamma=0.4, beta=0.3, tau=2, tau_intra=1, d=2, seed=5, max_iters=10),
+    "tau-intra-above-tau": preset_small().replace(tau=2, tau_intra=5, d=3),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_TABLE_SPECS))
+def test_sweep_table_is_ellpack_of_block_diagonal(name):
+    """Each row i of the sweep table is row i of blockdiag(W_1 .. W_r, V):
+    slot 0 holds (i, A_ii), the next slots the non-zeros of the row in
+    ascending order, the rest (i, 0.0), every id at the offset of the row's
+    delay into the window; the last slot is the tracking term."""
+    spec = SWEEP_TABLE_SPECS[name]
+    network = build_clustered_network(spec)
+    state = init_state(network, sample_initial_values(spec, network.total_nodes),
+                       spec.tau, spec.tau_intra)
+    steps = StepSizes(spec.gamma, spec.beta)
+    index, weight, hold = engine._sweep_table(network, state, steps)
+    a = block_diagonal([c.follower_weights.entries for c in network.clusters]
+                       + [network.leader_weights.entries])
+    n = len(a)
+    parts = (n - len(network.clusters), len(network.clusters))
+    reach = max(spec.tau, spec.tau_intra)
+    delay = np.repeat([spec.tau_intra, spec.tau], parts)
+    off_diagonal = a.copy()
+    np.fill_diagonal(off_diagonal, 0.0)
+    width = int(np.count_nonzero(off_diagonal, axis=1).max())
+    assert index.shape == (width + 2, n) and weight.shape == (width + 2, n, 1)
+    for i in range(n):
+        ids = index[:-1, i] - (reach - delay[i]) * n
+        w = weight[:-1, i, 0]
+        cols = np.flatnonzero(off_diagonal[i])
+        m = len(cols) + 1
+        assert ids[0] == i and w[0] == a[i, i]
+        assert ids[1:m].tolist() == cols.tolist()
+        assert w[1:m].tolist() == a[i, cols].tolist()
+        assert (ids[m:] == i).all() and not np.signbit(w[m:]).any() and not w[m:].any()
+    cluster = np.repeat(np.arange(parts[1]), [len(c.follower_ids) for c in network.clusters])
+    own = np.concatenate([parts[0] + cluster, np.arange(parts[0], n)])
+    track_delay = np.repeat([spec.tau_intra, 0], parts)
+    assert index[-1].tolist() == (own + (reach - track_delay) * n).tolist()
+    assert weight[-1, :, 0].tolist() == np.repeat([spec.gamma, 1.0 - spec.beta],
+                                                  parts).tolist()
+    assert hold[:, 0].tolist() == np.repeat([1.0 - spec.gamma, spec.beta],
+                                            parts).tolist()
+
+
 def test_sweep_many_clusters():
     spec = ScenarioSpec(family="geometric", cluster_sizes=(21,) * 200, radius=0.6,
                         gamma=0.5, beta=0.05, tau=5, seed=3, max_iters=10)
     network = sweep_against_reference(spec, 4)
-    assert network._follower_table[0][0].tolist() == list(range(4000))
+    assert follower_table(network)[0][0].tolist() == list(range(4000))
 
 
-def test_follower_table_built_once_on_first_sweep(tiny_spec):
+def test_sweep_table_built_once_on_first_sweep(tiny_spec):
     network = build_clustered_network(tiny_spec)
     spectral_summary(network, tiny_spec.tau)
-    assert "_follower_table" not in network.__dict__
     state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau)
+    assert state._tables is None
     sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
     advance(network, state, sizes)
-    table = network.__dict__["_follower_table"]
+    table = state._tables
+    assert table is not None
     advance(network, state, sizes)
-    assert network._follower_table is table
+    assert state._tables is table
 
 
 # ---------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import pytest
 
 from cluster_consensus import (
@@ -74,6 +77,20 @@ def test_tau_sweep_single_row_has_no_fit():
     result = tau_sweep(small_base(), [3])
     assert len(result.rows) == 1
     assert result.fit is None
+
+
+def test_tau_sweep_repeated_delay_has_no_fit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = tau_sweep(small_base(), [5, 5])
+    assert len(result.rows) == 2 and all(r["converged"] for r in result.rows)
+    assert result.fit is None
+
+
+def test_tau_sweep_repeated_delay_fits_with_another():
+    result = tau_sweep(small_base(), [5, 5, 10])
+    assert result.fit is not None
+    assert math.isfinite(result.fit.slope) and math.isfinite(result.fit.intercept)
 
 
 def test_tau_sweep_capped_rows():

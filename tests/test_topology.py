@@ -436,5 +436,12 @@ def test_spectral_summary_tau_zero(tiny_network):
 
 
 def test_spectral_summary_rejects_negative_tau(tiny_network):
-    with pytest.raises(DomainError):
-        spectral_summary(tiny_network, tau=-1)
+    for tau in (-1, 2.5, "3"):
+        with pytest.raises(DomainError):
+            spectral_summary(tiny_network, tau=tau)
+
+
+def test_spectral_summary_numpy_integer_tau(tiny_network):
+    s = spectral_summary(tiny_network, tau=np.int64(3))
+    assert s == spectral_summary(tiny_network, tau=3)
+    assert type(s.tau) is int and type(s.beta_max) is float

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .analysis import _diagnostics_block, _row_norms
 from .errors import DomainError, NumericError, ShapeError
+from .topology import _check_delay
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,7 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
         )
     if not np.all(np.isfinite(vals)):
         raise NumericError("initial values contain non-finite entries")
-    for name, delay in (("tau", tau), ("tau_intra", tau_intra)):
-        if not (isinstance(delay, Integral) and delay >= 0):
-            raise DomainError(f"{name} must be a non-negative integer, got {delay!r}")
+    tau, tau_intra = _check_delay("tau", tau), _check_delay("tau_intra", tau_intra)
     followers = vals[[i for c in network.clusters for i in c.follower_ids]]
     leaders = vals[[c.leader_id for c in network.clusters]]
     return NetworkState(

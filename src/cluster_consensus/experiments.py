@@ -18,7 +18,7 @@ from .analysis import bound_params, verify_bounds
 from .engine import run, run_until
 from .errors import DomainError
 from .scenario import ScenarioSpec
-from .topology import build_clustered_network, spectral_summary
+from .topology import _check_delay, build_clustered_network, spectral_summary
 
 SMALL_PRESET_SEED = 11
 LARGE_PRESET_SEED = 23
@@ -98,7 +98,7 @@ def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
     """
     network = build_clustered_network(base)
     rows = []
-    for tau in sorted(int(t) for t in taus):
+    for tau in sorted(_check_delay("tau", t) for t in taus):
         spec = base.replace(tau=tau)
         summary = spectral_summary(network, tau)
         result = run_until(network, spec)
@@ -157,7 +157,7 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
     network = build_clustered_network(base)
     admissible = spectral_summary(network, base.tau).admits(base.beta)
     rows = []
-    for tau_intra in sorted(int(t) for t in tau_intra_values):
+    for tau_intra in sorted(_check_delay("tau_intra", t) for t in tau_intra_values):
         spec = base.replace(tau_intra=tau_intra)
         result = run_until(network, spec)
         below = result.trace.follower_disagreement.max(axis=1) <= spec.threshold

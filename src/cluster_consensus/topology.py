@@ -9,13 +9,15 @@ theory consumes two spectral quantities computed here: the second largest
 singular value sigma_a of each follower matrix and its counterpart delta_c
 of the leader exchange matrix.  From delta_c and the delay tau follow the
 largest admissible leader step size beta_max and the leader contraction
-rate eta, decided in one place (`SpectralSummary`).  A graph searches its
-connectivity once and keeps the answer, and a weight matrix its sigma.
+rate eta, decided in one place (`SpectralSummary`).  A graph is one sorted
+(m, 2) array of its edges i < j, which the generators build without a loop
+per edge; it searches its connectivity once and keeps the answer, and a
+weight matrix its sigma.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 
@@ -38,116 +40,112 @@ GEOMETRIC_ATTEMPTS = 100     # point draws before geometric_graph gives up
 # graphs
 # =====================================================================
 
-def _canonical_edges(node_count: int, edges) -> frozenset:
-    out = set()
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
-        if i == j:
-            raise TopologyError(f"self-loop on node {i} is not allowed")
-        if not (0 <= i < node_count and 0 <= j < node_count):
-            raise TopologyError(
-                f"edge ({i}, {j}) references a node outside [0, {node_count})"
-            )
-        out.add((i, j) if i < j else (j, i))
-    return frozenset(out)
-
-
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
-    """Undirected simple graph on nodes 0..node_count-1."""
+    """Undirected simple graph on nodes 0..node_count-1.
+
+    `edges` is one read-only (m, 2) intp array of the pairs i < j in
+    lexicographic order.  The constructor takes such an array as it is;
+    `from_edges` builds one from any list of pairs.
+    """
 
     node_count: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.node_count < 1:
             raise TopologyError("graph needs at least one node")
-        object.__setattr__(self, "edges", _canonical_edges(self.node_count, self.edges))
+        self.edges.setflags(write=False)
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "AdjacencyGraph":
-        return cls(node_count, [(i, j) for i, j in edges])
-
-    @cached_property
-    def _adjacency(self) -> tuple:
-        nbrs = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(n)) for n in nbrs)
-
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        """(2, m) array of the edges' endpoint ids, in the set's own order."""
-        return np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+        """Validate pairs (i, j), then orient, sort and de-duplicate them."""
+        e = np.array(edges, dtype=np.intp)
+        if e.size and e.shape[1:] != (2,):
+            raise ShapeError(f"edges must be pairs (i, j), got shape {e.shape}")
+        e = e.reshape(-1, 2)
+        lo, hi = np.sort(e, axis=1).T
+        bad = (lo == hi) | (lo < 0) | (hi >= node_count)
+        if bad.any():
+            i, j = e[bad.argmax()].tolist()     # the first offending pair
+            if i == j:
+                raise TopologyError(f"self-loop on node {i} is not allowed")
+            raise TopologyError(f"edge ({i}, {j}) references a node outside "
+                                f"[0, {node_count})")
+        keys = np.sort(lo * node_count + hi)
+        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        pairs = np.empty((len(keys), 2), dtype=np.intp)
+        np.divmod(keys, node_count, out=(pairs[:, 0], pairs[:, 1]))
+        return cls(node_count, pairs)
 
     def neighbors(self, i: int) -> tuple:
-        return self._adjacency[i]
+        """Ids adjacent to i, ascending."""
+        lower, upper = self.edges.T
+        return tuple(lower[upper == i].tolist() + upper[lower == i].tolist())
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(n) for n in self._adjacency], dtype=int)
+        return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
     def is_connected(self) -> bool:
         return self._connected
 
     @cached_property
     def _connected(self) -> bool:
-        adjacency = self._adjacency
-        seen = {0}
+        nbrs = [[] for _ in range(self.node_count)]
+        for i, j in self.edges.tolist():
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        seen = [True] + [False] * (self.node_count - 1)
         stack = [0]
         while stack:
-            for j in adjacency[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
+            for j in nbrs[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
                     stack.append(j)
-        return len(seen) == self.node_count
+        return all(seen)
 
 
 def ring_graph(node_count: int) -> AdjacencyGraph:
     """Cycle where each node touches its nearest two peers (needs >= 3 nodes)."""
     if node_count < 3:
-        raise ConstructionError(
-            f"a ring needs at least 3 nodes, got {node_count}"
-        )
-    return AdjacencyGraph.from_edges(
-        node_count, [(i, (i + 1) % node_count) for i in range(node_count)]
-    )
+        raise ConstructionError(f"a ring needs at least 3 nodes, got {node_count}")
+    path = line_graph(node_count).edges
+    return AdjacencyGraph(node_count, np.concatenate(
+        (path[:1], [(0, node_count - 1)], path[1:])))   # (0, n-1) sorts second
 
 
 def line_graph(node_count: int) -> AdjacencyGraph:
     """Path 0-1-...-(n-1); a single node yields the edgeless graph."""
-    return AdjacencyGraph.from_edges(
-        node_count, [(i, i + 1) for i in range(node_count - 1)]
-    )
+    return AdjacencyGraph(node_count, np.add.outer(np.arange(node_count - 1), (0, 1)))
 
 
 def complete_graph(node_count: int) -> AdjacencyGraph:
-    return AdjacencyGraph.from_edges(
-        node_count,
-        [(i, j) for i in range(node_count) for j in range(i + 1, node_count)],
-    )
+    ids = np.arange(node_count)
+    return AdjacencyGraph(node_count, np.argwhere(ids[:, None] < ids))
 
 
 def geometric_graph(node_count: int, radius: float, rng) -> AdjacencyGraph:
     """Random geometric graph: uniform points in the unit square, edge iff
-    the Euclidean distance is below `radius`.  Resamples until connected,
-    giving up after GEOMETRIC_ATTEMPTS draws.
+    the Euclidean distance sqrt(dx*dx + dy*dy) is below `radius`.
+    Resamples until connected, giving up after GEOMETRIC_ATTEMPTS draws.
+
+    The pairs come out of the (n, n) distance matrix in row-major order,
+    so those with i < j are already the sorted edge array.
     """
     if radius <= 0:
         raise ConstructionError(f"geometric radius must be positive, got {radius}")
     for _ in range(GEOMETRIC_ATTEMPTS):
-        pts = rng.random((node_count, 2))
-        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        ii, jj = np.nonzero(dists < radius)
-        upper = ii < jj
-        graph = AdjacencyGraph.from_edges(
-            node_count, zip(ii[upper].tolist(), jj[upper].tolist()))
+        x, y = rng.random((node_count, 2)).T
+        dx, dy = x[:, None] - x, y[:, None] - y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        pairs = np.argwhere(np.sqrt(dx, out=dx) < radius)
+        graph = AdjacencyGraph(node_count, pairs[pairs[:, 0] < pairs[:, 1]])
         if graph.is_connected():
             return graph
-    raise ConstructionError(
-        f"no connected geometric graph on {node_count} nodes with radius "
-        f"{radius} within {GEOMETRIC_ATTEMPTS} attempts"
-    )
+    raise ConstructionError(f"no connected geometric graph on {node_count} nodes with "
+                            f"radius {radius} within {GEOMETRIC_ATTEMPTS} attempts")
 
 
 # =====================================================================
@@ -209,7 +207,7 @@ def validate_weights(entries, support: AdjacencyGraph,
     for j in np.nonzero(np.abs(cols - 1.0) > tol)[0]:
         bad.append(WeightViolation("column_sum", (int(j),), float(cols[j])))
     on_edge = np.zeros((n, n), dtype=bool)
-    ii, jj = support._edge_array
+    ii, jj = support.edges.T
     on_edge[ii, jj] = on_edge[jj, ii] = True
     off_support = ((w > 0.0) != on_edge) | (w < 0.0)
     np.fill_diagonal(off_support, False)
@@ -270,7 +268,7 @@ def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
     n = graph.node_count
     deg = graph.degrees()
     w = np.zeros((n, n))
-    i, j = graph._edge_array
+    i, j = graph.edges.T
     w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     diag = 1.0 - w.sum(axis=1)
     assert np.all(diag > 0), "max-degree rule produced a non-positive diagonal"
@@ -314,6 +312,13 @@ def second_largest_singular_value(weights) -> float:
 # step-size algebra
 # =====================================================================
 
+def _check_delay(name: str, value) -> int:
+    """`value` as an int; DomainError unless it is a non-negative integer."""
+    if not (isinstance(value, Integral) and value >= 0):
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _beta_max(delta_c: float, tau: int) -> float:
     """1 - delta_c^(1/tau), or 1 - delta_c without delay."""
     return 1.0 - delta_c ** (1.0 / tau) if tau else 1.0 - delta_c
@@ -325,9 +330,7 @@ def max_stable_beta(delta_c: float, tau: int) -> float:
     1 - delta_c."""
     if not (0.0 < delta_c < 1.0):
         raise DomainError(f"delta_c must lie in (0, 1), got {delta_c}")
-    if not (isinstance(tau, Integral) and tau >= 0):
-        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
-    return _beta_max(delta_c, tau)
+    return _beta_max(delta_c, _check_delay("tau", tau))
 
 
 def eta(beta: float, delta_c: float, tau: int) -> float:
@@ -340,8 +343,7 @@ def eta(beta: float, delta_c: float, tau: int) -> float:
         raise DomainError(f"beta must lie in [0, 1) for eta, got {beta}")
     if not (0.0 <= delta_c < 1.0):
         raise DomainError(f"delta_c must lie in [0, 1), got {delta_c}")
-    if not (isinstance(tau, Integral) and tau >= 0):
-        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
+    tau = _check_delay("tau", tau)
     return 1.0 - beta + delta_c * beta / (1.0 - beta) ** tau
 
 
@@ -366,11 +368,10 @@ class SpectralSummary:
 
 
 def spectral_summary(network: "ClusteredNetwork", tau: int) -> SpectralSummary:
-    if not (isinstance(tau, Integral) and tau >= 0):
-        raise DomainError(f"tau must be a non-negative integer, got {tau!r}")
+    tau = _check_delay("tau", tau)
     sigmas = tuple(c.follower_weights.sigma for c in network.clusters)
     dc = network.leader_weights.sigma
-    return SpectralSummary(sigmas, dc, int(tau), _beta_max(dc, int(tau)))
+    return SpectralSummary(sigmas, dc, tau, _beta_max(dc, tau))
 
 
 # =====================================================================

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from cluster_consensus import (
@@ -91,6 +92,12 @@ def test_tau_sweep_repeated_delay_fits_with_another():
     result = tau_sweep(small_base(), [5, 5, 10])
     assert result.fit is not None
     assert math.isfinite(result.fit.slope) and math.isfinite(result.fit.intercept)
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, "3"])
+def test_tau_sweep_rejects_non_integer_delay(bad):
+    with pytest.raises(DomainError, match="tau must be a non-negative integer"):
+        tau_sweep(small_base(max_iters=5), [0, bad])
 
 
 def test_tau_sweep_capped_rows():
@@ -190,6 +197,20 @@ def test_intra_delay_study_separation_shrinks():
     result = intra_delay_study(small_base(tau=8), [0, 6])
     first, last = result.rows
     assert first["separation_ratio"] > last["separation_ratio"]
+
+
+@pytest.mark.parametrize("bad", [1.5, -2, None])
+def test_intra_delay_study_rejects_non_integer_delay(bad):
+    with pytest.raises(DomainError,
+                       match="tau_intra must be a non-negative integer"):
+        intra_delay_study(small_base(max_iters=5), [bad, 0])
+
+
+def test_studies_accept_numpy_integer_delays():
+    rows = tau_sweep(small_base(max_iters=5), [np.int64(2)]).rows
+    assert rows[0]["tau"] == 2 and type(rows[0]["tau"]) is int
+    rows = intra_delay_study(small_base(max_iters=5), [np.int32(1)]).rows
+    assert rows[0]["tau_intra"] == 1 and type(rows[0]["tau_intra"]) is int
 
 
 def test_intra_delay_study_capped_rows():

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from cluster_consensus import (
@@ -23,7 +27,8 @@ from cluster_consensus import (
     spectral_summary,
     validate_weights,
 )
-from cluster_consensus.topology import WeightViolation
+from cluster_consensus.experiments import preset_large, preset_small
+from cluster_consensus.topology import GEOMETRIC_ATTEMPTS, WeightViolation
 
 # The three-leader line graph under max-degree weights; its spectrum is
 # {1, 2/3, 0} so the deviation norm is exactly 2/3.
@@ -74,7 +79,7 @@ def test_complete_graph_shape():
 def test_edges_canonicalised():
     a = AdjacencyGraph.from_edges(3, [(2, 0), (1, 2)])
     b = AdjacencyGraph.from_edges(3, [(0, 2), (2, 1)])
-    assert a.edges == b.edges
+    assert np.array_equal(a.edges, b.edges)
     assert a.neighbors(2) == (0, 1)
 
 
@@ -88,6 +93,60 @@ def test_edge_out_of_range_rejected():
         AdjacencyGraph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (0, 5), (2, 2)], r"edge \(0, 5\) references a node outside \[0, 3\)"),
+    ([(0, 1), (2, 2), (0, 5)], "self-loop on node 2 is not allowed"),
+    ([(1, 0), (4, 4)], "self-loop on node 4 is not allowed"),
+    ([(2, 1), (-1, 0)], r"edge \(-1, 0\) references a node outside \[0, 3\)"),
+    ([(3, 0)], r"edge \(3, 0\) references a node outside \[0, 3\)"),
+])
+def test_from_edges_reports_first_offending_edge(edges, message):
+    with pytest.raises(TopologyError, match=f"^{message}$"):
+        AdjacencyGraph.from_edges(3, edges)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 2), (1, 2, 3)], [0, 1], [[(0, 1)]]])
+def test_from_edges_rejects_non_pairs(edges):
+    with pytest.raises(ShapeError, match="pairs"):
+        AdjacencyGraph.from_edges(4, edges)
+
+
+def test_from_edges_collapses_duplicate_and_reversed_pairs():
+    g = AdjacencyGraph.from_edges(
+        4, [(1, 0), (2, 3), (0, 1), (0, 1), (3, 2), (2, 1), (1, 2)])
+    assert g.edges.dtype == np.intp and g.edges.shape == (3, 2)
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert g.degrees().tolist() == [1, 2, 2, 1]
+    assert [g.neighbors(i) for i in range(4)] == [(1,), (0, 2), (1, 3), (2,)]
+
+
+def test_edges_are_sorted_and_read_only():
+    for g in (ring_graph(6), complete_graph(5),
+              AdjacencyGraph.from_edges(5, [(4, 0), (3, 1), (0, 2), (1, 0)]),
+              geometric_graph(30, 0.4, np.random.default_rng(1))):
+        pairs = g.edges.tolist()
+        assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+        assert len(set(map(tuple, pairs))) == len(pairs)
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+
+@pytest.mark.parametrize("graph", [
+    line_graph(1),
+    AdjacencyGraph.from_edges(1, []),
+    geometric_graph(1, 0.3, np.random.default_rng(0)),
+], ids=["line", "from_edges", "geometric"])
+def test_edgeless_graph(graph):
+    assert graph.edges.shape == (0, 2) and graph.edges.dtype == np.intp
+    assert len(graph.edges) == 0 and list(graph.edges) == []
+    assert graph.degrees().tolist() == [0]
+    assert graph.neighbors(0) == ()
+    assert graph.is_connected()
+    w = metropolis_weights(graph)
+    assert w.entries.tolist() == [[1.0]] and w.min_edge_weight == 1.0
+    assert w.sigma == 0.0
+
+
 def test_disconnected_detected():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
@@ -96,7 +155,7 @@ def test_disconnected_detected():
 def test_geometric_graph_deterministic():
     a = geometric_graph(15, 0.5, np.random.default_rng(3))
     b = geometric_graph(15, 0.5, np.random.default_rng(3))
-    assert a.edges == b.edges
+    assert np.array_equal(a.edges, b.edges)
     assert a.is_connected()
 
 
@@ -119,6 +178,63 @@ def test_geometric_graph_gives_up():
 def test_geometric_radius_positive():
     with pytest.raises(ConstructionError):
         geometric_graph(5, 0.0, np.random.default_rng(0))
+
+
+def _norm_rule_graph(n, radius, rng):
+    """The rule before edge arrays: norm over an (n, n, 2) difference
+    stack, upper triangle, resampled until a breadth-first search over
+    the dense adjacency reaches every node.  Returns the edges and the
+    draws taken, or None and GEOMETRIC_ATTEMPTS."""
+    for attempt in range(1, GEOMETRIC_ATTEMPTS + 1):
+        pts = rng.random((n, 2))
+        close = np.linalg.norm(pts[:, None] - pts[None], axis=2) < radius
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = close[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if reached.all():
+            return np.argwhere(np.triu(close, 1)), attempt
+    return None, GEOMETRIC_ATTEMPTS
+
+
+def _check_norm_rule(n, radius, seed) -> int:
+    """geometric_graph gives the norm rule's edges and leaves the generator
+    where the norm rule leaves it; returns the draws taken."""
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges, attempts = _norm_rule_graph(n, radius, ref_rng)
+    if edges is None:
+        with pytest.raises(ConstructionError,
+                           match=f"within {GEOMETRIC_ATTEMPTS} attempts"):
+            geometric_graph(n, radius, rng)
+    else:
+        assert np.array_equal(geometric_graph(n, radius, rng).edges, edges)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return attempts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_geometric_graph_matches_norm_rule(data):
+    n = data.draw(st.sampled_from([*range(1, 41), 400, 800]), label="n")
+    small = n <= 40      # a radius that gives up at 400 nodes takes seconds
+    radius = data.draw(st.floats(1e-3 if small else 0.09, 1.5), label="radius")
+    _check_norm_rule(n, radius, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
+@pytest.mark.parametrize("n,radius,seed,attempts", [
+    (20, 0.25, 0, 23),                   # resampled
+    (400, 0.08, 0, 2),
+    (800, 0.06, 1, 2),
+    (40, 1.5, 3, 1),                     # complete graph
+    (12, 1e-3, 0, GEOMETRIC_ATTEMPTS),   # gives up
+], ids=["resample", "resample_400", "resample_800", "complete", "gives_up"])
+def test_geometric_graph_norm_rule_regimes(n, radius, seed, attempts):
+    assert _check_norm_rule(n, radius, seed) == attempts
+    if radius > 2 ** 0.5:
+        graph = geometric_graph(n, radius, np.random.default_rng(seed))
+        assert np.array_equal(graph.edges, complete_graph(n).edges)
 
 
 # ---------------------------------------------------------------------
@@ -351,8 +467,8 @@ def test_build_is_deterministic():
     a = build_clustered_network(spec)
     b = build_clustered_network(spec)
     for ca, cb in zip(a.clusters, b.clusters):
-        assert (ca.follower_weights.support.edges
-                == cb.follower_weights.support.edges)
+        assert np.array_equal(ca.follower_weights.support.edges,
+                              cb.follower_weights.support.edges)
         assert np.array_equal(ca.follower_weights.entries,
                               cb.follower_weights.entries)
 
@@ -362,9 +478,41 @@ def test_build_seed_changes_geometric_topology():
                         beta=0.2, tau=2, seed=5, max_iters=10, radius=0.5)
     a = build_clustered_network(base)
     b = build_clustered_network(base.replace(seed=6))
-    assert any(ca.follower_weights.support.edges
-               != cb.follower_weights.support.edges
+    assert any(not np.array_equal(ca.follower_weights.support.edges,
+                                  cb.follower_weights.support.edges)
                for ca, cb in zip(a.clusters, b.clusters))
+
+
+# SHA-256 of every follower and leader matrix (entries.tobytes()) and
+# repr(sigma) of preset_small, preset_large and intra_delay's seed-0 base
+NETWORK_SHA256 = (
+    "e34e079c185e663a710e1e18c4c83ed614deadac246a193c83e7948e7673105e")
+
+
+def test_network_bytes_digest():
+    """Edges and weights may only move between versions on purpose."""
+    specs = [preset_small(), preset_large(), ScenarioSpec(
+        family="geometric", cluster_sizes=(20,) * 5, radius=0.3, gamma=0.5,
+        beta=0.05, tau=20, seed=23, max_iters=20_000)]
+    h = hashlib.sha256()
+    for spec in specs:
+        net = build_clustered_network(spec)
+        for w in [c.follower_weights for c in net.clusters] + [net.leader_weights]:
+            h.update(w.entries.tobytes())
+            h.update(repr(w.sigma).encode())
+    assert h.hexdigest() == NETWORK_SHA256, (
+        f"network digest is {h.hexdigest()}; if intentional, disclose the "
+        "byte move in CHANGES.md and update the digest")
+
+
+def test_build_single_follower_clusters():
+    spec = ScenarioSpec(family="geometric", cluster_sizes=(2, 2, 5), radius=0.9,
+                        gamma=0.5, beta=0.1, tau=1, seed=4, max_iters=10)
+    net = build_clustered_network(spec)
+    for c in net.clusters[:2]:
+        assert c.follower_weights.support.edges.shape == (0, 2)
+        assert c.follower_weights.entries.tolist() == [[1.0]]
+    assert spectral_summary(net, 1).sigma_per_cluster[:2] == (0.0, 0.0)
 
 
 def test_build_ring_needs_three_followers():
@@ -388,9 +536,9 @@ def test_build_explicit_edges():
         leader_edges=((0, 1),),
     )
     net = build_clustered_network(spec)
-    assert net.clusters[0].follower_weights.support.edges == frozenset(
-        {(0, 1), (1, 2), (0, 2)})
-    assert net.leader_weights.support.edges == frozenset({(0, 1)})
+    assert np.array_equal(net.clusters[0].follower_weights.support.edges,
+                          [(0, 1), (0, 2), (1, 2)])
+    assert np.array_equal(net.leader_weights.support.edges, [(0, 1)])
 
 
 def test_build_single_cluster():

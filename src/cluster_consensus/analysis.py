@@ -63,8 +63,21 @@ class DiagnosticsRecord:
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every vector along the last axis."""
-    return np.add.reduce(x * x, axis=-1)
+    """Squared Euclidean norm of every vector along the last axis, bit for
+    bit np.add.reduce(x * x, axis=-1).
+
+    numpy adds fewer than eight values left to right, so for d <= 7 the
+    d slices are added one after the other, which is several times faster
+    than numpy's reduction over a short last axis.  From eight values on,
+    numpy sums pairwise, so longer vectors keep the reduction.
+    """
+    squares = x * x
+    if x.shape[-1] > 7:
+        return np.add.reduce(squares, axis=-1)
+    total = squares[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + squares[..., i]
+    return total
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Protocol execution: one linear map per sweep over a single history
-buffer, and the run driver.
+buffer, and the run driver, which runs one scenario or a batch of them.
 
 One iteration is one synchronous sweep: every follower mixes with its
 neighbours at step size gamma and tracks its own leader, both read
@@ -10,24 +10,35 @@ States are d-dimensional row vectors, all followers stacked cluster by
 cluster and then all leaders, and one buffer keeps the recent iterations
 of that stack in consecutive slots, as deep as the longest delay.
 
-A sweep costs five numpy calls, whatever the delays, the degrees and the
-number of clusters.  Each run builds one sweep table (`_sweep_table`) from
-one ELLPACK build (`_ellpack`) of the block-diagonal matrix of all follower
-matrices and the leader exchange matrix, diagonal first, so that one
-reduction over the slots sums each row in the per-node order.  Its ids
-point into the window of the last max(tau, tau_intra) + 1 iterations, so a
-delayed read is a fixed offset; `_sweep` gathers every term at once and
+A batch is several instances of one network with the same d, each with
+its own delays, step sizes, initial values and stopping rule.  Their
+stacks sit one after the other in the buffer, instance-major: instance b
+owns rows b * (N_f + r) up to (b + 1) * (N_f + r), so a batch of one is
+the stack of a single run.  `run` and `run_until` are batches of one; the
+parameter studies run their rows as one batch.
+
+A sweep costs five numpy calls, whatever the delays, the degrees, the
+number of clusters and the number of instances.  Each run builds one sweep
+table (`_sweep_table`) from one ELLPACK build (`_ellpack`) of the
+block-diagonal matrix of all follower matrices and the leader exchange
+matrix, diagonal first, so that one reduction over the slots sums each row
+in the per-node order, and repeats it for every instance at the offset of
+its rows.  Its ids point into the window of the last iterations, as many
+as the longest delay of the batch plus one, so a delayed read is a fixed
+offset, the row's own delay back; `_sweep` gathers every term at once and
 writes the new states straight into the buffer slot of the next iteration.
 Every value equals the per-node accumulation bit for bit.
 
 The run driver sweeps a block of iterations back to back and then
-evaluates the block at once, reading its states straight from the buffer
-(`NetworkState.block_states`): the stopping metric of every iteration in
-one reduction, and every error family, written into the columns of a
-`Trace`.  No Python object is built per iteration.  The test suite checks
-the updates against the per-node form, the block-wise stopping rule
-against a check after every sweep, and both against an independent dense
-matrix-form evaluation of the same equations.
+evaluates the block at once, instance by instance, reading its states from
+the buffer (`NetworkState.block_states`): the stopping metric of every
+iteration in one reduction, and every error family, written into the
+columns of a `Trace`.  No Python object is built per iteration.  An
+instance that has stopped leaves the batch at the end of its block.  The
+test suite checks the updates against the per-node form, the block-wise
+stopping rule against a check after every sweep, both against an
+independent dense matrix-form evaluation of the same equations, and every
+instance of a batch against its run of its own, byte for byte.
 """
 
 from __future__ import annotations
@@ -63,53 +74,76 @@ BLOCK_ITERATIONS = 64
 BLOCK_BYTES = 2 << 20
 
 
-def _history_layout(rows: int, d: int, reach: int) -> tuple:
-    """Block length and number of buffer slots for `rows` nodes of
-    dimension d whose delays reach back `reach` iterations: a window of
-    reach + 1 slots and whole blocks after it, at least as many slots as
+def _block_length(rows: int, d: int) -> int:
+    """Iterations per diagnostics block for a stack of `rows` nodes of
+    dimension d."""
+    return max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // (8 * rows * d)))
+
+
+def _history_slots(reach: int, block: int) -> int:
+    """Buffer slots for delays that reach back `reach` iterations: a window
+    of reach + 1 slots and whole blocks after it, at least as many slots as
     the window, so that the shift (see NetworkState) copies at most one
     slot per sweep on average."""
-    block = max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // (8 * rows * d)))
     window = reach + 1
-    return block, window + -(-window // block) * block
+    return window + -(-window // block) * block
 
 
 class NetworkState:
     """Mutable simulation state at some iteration k, with its history.
 
-    One buffer of shape (length, N_f + r, d) holds the history, one slot
-    per iteration: the followers, stacked cluster by cluster, then the
-    leaders.  Iterations k - reach .. k, reach = max(tau, tau_intra), sit
-    in consecutive slots, so the window a sweep reads is one slice.  The
-    initial values fill the window before iteration 0, which realises the
-    convention that states before iteration 0 equal the initial values.
-    When a sweep finds the buffer full, it first copies the window to the
-    front.  The slots after the window hold whole blocks, and iteration 0
-    starts a block right after the window, so a copy happens only as a
-    block starts and the iterations of one diagnostics block stay in
-    consecutive slots (see block_states).
+    A state holds one or more instances of one network, which share d and
+    each have their own delays: delays[b] is the (tau, tau_intra) pair of
+    instance b, and tau and tau_intra are the longest of each over the
+    instances.  init_state builds a state of one instance; the run driver
+    stacks several (see _drive).
 
-    followers_at(t) and leaders_at(t) read the states of t iterations ago,
-    t = 0 the current ones.  Both return views into the buffer, which
-    later iterations overwrite, so a caller copies what it keeps.
-    owner[i] is the cluster of follower row i and starts[a] the first row
-    of cluster a.
+    One buffer of shape (length, B * (N_f + r), d) holds the history, one
+    slot per iteration.  Each slot is instance-major: instance b owns rows
+    b * (N_f + r) up to (b + 1) * (N_f + r), its followers, stacked cluster
+    by cluster, then its leaders.  Iterations k - reach .. k, reach =
+    max(tau, tau_intra), sit in consecutive slots, so the window a sweep
+    reads is one slice.  The initial values fill the window before
+    iteration 0, which realises the convention that states before
+    iteration 0 equal the initial values.  When a sweep finds the buffer
+    full, it first copies the window to the front.  The slots after the
+    window hold whole blocks, and iteration 0 starts a block right after
+    the window, so a copy happens only as a block starts and the
+    iterations of one diagnostics block stay in consecutive slots (see
+    block_states).
+
+    followers_at(t) and leaders_at(t) read the states of instance 0, t
+    iterations ago, t = 0 the current ones.  Both return views into the
+    buffer, which later iterations overwrite, so a caller copies what it
+    keeps.  owner[i] is the cluster of follower row i and starts[a] the
+    first row of cluster a, the same in every instance.
     """
 
-    def __init__(self, followers, leaders, cluster_sizes, tau, tau_intra):
-        self.tau = int(tau)
-        self.tau_intra = int(tau_intra)
+    def __init__(self, network, values, delays):
+        """One instance per (N, d) array of initial values in `values`, row
+        i the node of global id i, with the delays of the same position."""
+        sizes = [len(c.follower_ids) for c in network.clusters]
+        order = ([i for c in network.clusters for i in c.follower_ids]
+                 + [c.leader_id for c in network.clusters])
+        rows = np.concatenate([v[order] for v in values])
         self.k = 0
-        self.owner = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
-        self.starts = np.cumsum([0] + list(cluster_sizes[:-1]))
-        self._split = len(followers)
-        self._reach = max(self.tau, self.tau_intra)
-        rows = np.concatenate([followers, leaders])
-        self.block, length = _history_layout(*rows.shape, self._reach)
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self._split = sum(sizes)
+        self._rows = len(order)                 # N_f + r
+        self._set_delays(delays)
+        self.block = _block_length(*rows.shape)
+        self._history = np.empty((_history_slots(self._reach, self.block),)
+                                 + rows.shape)
         self._slot = self._reach + 1            # the slot of iteration k
-        self._history = np.empty((length,) + rows.shape)
         self._history[:self._slot + 1] = rows
         self._tables = None                     # (network, steps, sweep table)
+
+    def _set_delays(self, delays):
+        self.delays = tuple((int(tau), int(tau_intra)) for tau, tau_intra in delays)
+        self.tau = max(tau for tau, _ in self.delays)
+        self.tau_intra = max(tau_intra for _, tau_intra in self.delays)
+        self._reach = max(self.tau, self.tau_intra)
 
     def _at(self, reach, offset):
         if not (0 <= offset <= reach):
@@ -122,18 +156,40 @@ class NetworkState:
 
     def leaders_at(self, offset: int) -> np.ndarray:
         """(r, d) view of all leaders, offset iterations ago."""
-        return self._at(self._reach, offset)[self._split:]
+        return self._at(self._reach, offset)[self._split:self._rows]
 
-    def block_states(self, first: int) -> tuple:
-        """(n, N_f, d) and (n, r, d) views of the followers and leaders of
-        iterations first..k, one layer per iteration; first must start a
-        block and k lie in it."""
+    def block_states(self, first: int, member: int = 0) -> tuple:
+        """(n, N_f, d) and (n, r, d) stacks of the followers and leaders of
+        instance `member` at iterations first..k, one layer per iteration;
+        first must start a block and k lie in it.  With one instance they
+        are views into the buffer; with more, a copy of the instance's rows
+        into one contiguous array, so that every reduction over them sees
+        the strides, and computes the bits, of a state of one instance."""
         n = self.k - first + 1
         if first % self.block or not (0 < n <= self.block):
             raise DomainError(f"iterations {first}..{self.k} do not lie in one "
                               f"block of {self.block}")
         layers = self._history[self._slot + 1 - n:self._slot + 1]
-        return layers[:, :self._split], layers[:, self._split:]
+        if len(self.delays) > 1:
+            layers = layers[:, member * self._rows:(member + 1) * self._rows].copy()
+        return layers[:, :self._split], layers[:, self._split:self._rows]
+
+    def _keep(self, members) -> None:
+        """Keep only the instances at positions `members`, in ascending
+        order: a fresh buffer, as deep as their longest delay, takes their
+        window, and the next sweep builds their sweep table.  k must end a
+        block, so that the next iteration starts one right after the
+        window, as after init."""
+        self._tables = None
+        old, last, width = self._history, self._slot + 1, self._rows
+        self._set_delays([self.delays[b] for b in members])
+        window = self._reach + 1
+        self._history = np.empty((_history_slots(self._reach, self.block),
+                                  len(members) * width, old.shape[2]))
+        for to, b in enumerate(members):
+            self._history[:window, to * width:(to + 1) * width] = (
+                old[last - window:last, b * width:(b + 1) * width])
+        self._slot = window - 1
 
     def copy(self) -> "NetworkState":
         other = copy.copy(self)
@@ -201,12 +257,7 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
     if not np.all(np.isfinite(vals)):
         raise NumericError("initial values contain non-finite entries")
     tau, tau_intra = _check_delay("tau", tau), _check_delay("tau_intra", tau_intra)
-    followers = vals[[i for c in network.clusters for i in c.follower_ids]]
-    leaders = vals[[c.leader_id for c in network.clusters]]
-    return NetworkState(
-        followers, leaders, [len(c.follower_ids) for c in network.clusters],
-        tau, tau_intra,
-    )
+    return NetworkState(network, [vals], [(tau, tau_intra)])
 
 
 # ---------------------------------------------------------------------
@@ -245,30 +296,42 @@ def _ellpack(blocks) -> tuple:
     return index, weight
 
 
-def _sweep_table(network, state: NetworkState, steps: StepSizes) -> tuple:
-    """The table of every sweep of a run: ids (width + 2, N) into the
-    window of iterations k - reach .. k flattened to (reach + 1) * N rows,
-    weights (width + 2, N, 1) and the step that scales each row's mixing
-    sum, (N, 1).
+def _sweep_table(network, state: NetworkState, steps) -> tuple:
+    """The table of every sweep of a run: ids (width + 2, M) into the
+    window of iterations k - reach .. k flattened to (reach + 1) * M rows,
+    M = B * (N_f + r) the rows of the state's B instances, weights
+    (width + 2, M, 1) and the step that scales each row's mixing sum,
+    (M, 1).  `steps` holds one StepSizes per instance, or is one StepSizes
+    for a state of one instance.
 
     Slots 0..width are the one _ellpack table of blockdiag(W_1 .. W_r, V),
-    read tau_intra iterations ago on a follower row and tau on a leader
-    row.  The last slot is the tracking term, gamma times the own leader
-    read tau_intra iterations ago for a follower and 1 - beta times the own
-    current state for a leader.
+    repeated for every instance at the offset of its rows, and read
+    tau_intra iterations ago on a follower row and tau on a leader row,
+    with the instance's own delays.  The last slot is the tracking term,
+    gamma times the own leader read tau_intra iterations ago for a
+    follower and 1 - beta times the own current state for a leader.
     """
+    if isinstance(steps, StepSizes):
+        steps = (steps,)
     index, weight = _ellpack([c.follower_weights.entries for c in network.clusters]
                              + [network.leader_weights.entries])
-    split, reach, n = state._split, state._reach, index.shape[1]
-    parts = (split, n - split)                  # follower rows, leader rows
-    own = np.concatenate([split + state.owner, np.arange(split, n)])
-    index = np.vstack([
-        index + (reach - np.repeat([state.tau_intra, state.tau], parts)) * n,
-        own + (reach - np.repeat([state.tau_intra, 0], parts)) * n,
-    ])
-    track = np.repeat([steps.gamma, 1.0 - steps.beta], parts)[None, :, None]
-    hold = np.repeat([1.0 - steps.gamma, steps.beta], parts)[:, None]
-    return index, np.concatenate([weight, track]), hold
+    split, width, count = state._split, state._rows, len(state.delays)
+    m = width * count
+
+    def per_row(pairs):
+        """A value for the follower rows and one for the leader rows of
+        each instance, spread over its rows."""
+        return np.repeat(np.ravel(pairs), (split, width - split) * count)
+
+    own = np.concatenate([split + state.owner, np.arange(split, width)])
+    first = np.repeat(np.arange(count) * width, width)     # each row's instance
+    lag = state._reach - per_row([(tau_intra, tau) for tau, tau_intra in state.delays])
+    own_lag = state._reach - per_row([(tau_intra, 0) for _, tau_intra in state.delays])
+    index = np.vstack([np.tile(index, count) + first + lag * m,
+                       np.tile(own, count) + first + own_lag * m])
+    track = per_row([(s.gamma, 1.0 - s.beta) for s in steps])[None, :, None]
+    hold = per_row([(1.0 - s.gamma, s.beta) for s in steps])[:, None]
+    return index, np.concatenate([np.tile(weight, (count, 1)), track]), hold
 
 
 def _sweep(table, x: np.ndarray, out=None) -> np.ndarray:
@@ -283,17 +346,21 @@ def _sweep(table, x: np.ndarray, out=None) -> np.ndarray:
     diagonal read, and a sum is -0.0 only if that read is negative or
     -0.0, so the padding never changes a sum.  (numpy would sum pairwise
     along the slots only for a stack of one or two values, and such a
-    table has fewer than eight slots.)
+    table has fewer than eight slots.)  The weights scale the gathered
+    terms in place, which spares a second stack as large as the gather.
     """
     index, weight, hold = table
-    terms = weight * x.take(index, axis=0)
+    terms = x.take(index, axis=0)
+    np.multiply(weight, terms, out=terms)
     return np.add(hold * np.add.reduce(terms[:-1], axis=0, initial=-0.0), terms[-1],
                   out=out)
 
 
-def advance(network, state: NetworkState, steps: StepSizes) -> NetworkState:
+def advance(network, state: NetworkState, steps) -> NetworkState:
     """One synchronous sweep: every row updates from pre-step values, and
     the new states go straight into the buffer slot of iteration k + 1.
+    `steps` is a StepSizes, or one per instance of the state (see
+    _sweep_table).
 
     The first sweep with a given network and step sizes builds the sweep
     table, which every later sweep reuses.  The window is read whole before
@@ -324,62 +391,83 @@ def _stopping_block(followers, leaders, owner) -> np.ndarray:
     return _row_norms(followers - leaders.take(owner, axis=1)).max(axis=1)
 
 
-def _drive(network, spec, until: bool) -> RunResult:
-    """Record diagnostics at every iteration from 0 and sweep until
-    spec.max_iters; with `until`, stop at a confirmed settling iteration
-    (see run_until).
+def _drive(network, specs, until: bool) -> list:
+    """Run `specs`, which share `network` and d, as one batch: record
+    diagnostics of each at every iteration from 0 and sweep until its
+    max_iters; with `until`, stop at a confirmed settling iteration (see
+    run_until).  Returns one RunResult per spec, in order.
 
-    The sweeps of a block of state.block iterations run back to back.  Once
-    the block's last iteration is in the buffer, or spec.max_iters is, the
-    driver evaluates the block: with `until`, the stopping metric of every
-    iteration in one reduction, scanned for the confirmation window (a
-    candidate carries over from block to block); then every error family,
-    cut at the iteration where the run ends.  A run that stops inside a
-    block has swept up to the block's end, at most state.block - 1
-    iterations more than it records; the result holds no state, so those
-    sweeps change nothing that the caller sees.
+    The instances are the stacked rows of one state, so one sweep advances
+    them all.  The sweeps of a block of state.block iterations run back to
+    back.  Once the block's last iteration is in the buffer, or the
+    longest max_iters of the instances still recording is, the driver
+    evaluates the block instance by instance: with `until`, the stopping
+    metric of every iteration in one reduction, scanned for the
+    confirmation window (a candidate carries over from block to block);
+    then every error family, cut at the iteration where the instance's run
+    ends.  An instance that ends inside a block has swept up to the
+    block's end, at most state.block - 1 iterations more than it records,
+    and leaves the batch at that block boundary: the rows of the others
+    move to a fresh buffer.  The results hold no state, so the extra
+    sweeps change nothing that the caller sees, and each instance's
+    columns equal those of a run of its own.
     """
-    state = init_state(
-        network, sample_initial_values(spec, network.total_nodes),
-        spec.tau, spec.tau_intra,
-    )
-    steps = StepSizes(spec.gamma, spec.beta)
-    window = max(spec.tau, spec.tau_intra) + 1
-    blocks = []
+    state = NetworkState(network, [sample_initial_values(s, network.total_nodes)
+                                   for s in specs],
+                         [(s.tau, s.tau_intra) for s in specs])
+    live = list(range(len(specs)))      # the spec of each instance of the state
+    steps = tuple(StepSizes(s.gamma, s.beta) for s in specs)
+    blocks = [[] for _ in specs]
+    candidates = [None] * len(specs)
+    results = [None] * len(specs)
     first = 0              # first iteration of the block being filled
-    candidate = None
     while True:
-        last = min(first + state.block - 1, spec.max_iters)
-        while state.k < last:
+        end = min(first + state.block - 1, max(specs[b].max_iters for b in live))
+        while state.k < end:
             advance(network, state, steps)
-        followers, leaders = state.block_states(first)
-        outcome = None
-        if until:
-            metric = _stopping_block(followers, leaders, state.owner)
-            for k, value in enumerate(metric.tolist(), first):
-                if value > spec.threshold:
-                    candidate = None
-                    continue
-                if candidate is None:
-                    candidate = k
-                if k - candidate + 1 >= window:
-                    outcome, last = (True, candidate), k
-                    break
-        if outcome is None and last == spec.max_iters:
-            outcome = (False, spec.max_iters)
-        n = last - first + 1
-        blocks.append(_diagnostics_block(followers[:n], leaders[:n],
-                                         state.starts, state.owner))
-        if outcome is not None:
+        keep = []
+        for member, b in enumerate(live):
+            spec, candidate = specs[b], candidates[b]
+            last = min(end, spec.max_iters)
+            followers, leaders = (layers[:last - first + 1]
+                                  for layers in state.block_states(first, member))
+            outcome = None
+            if until:
+                window = max(spec.tau, spec.tau_intra) + 1
+                metric = _stopping_block(followers, leaders, state.owner)
+                for k, value in enumerate(metric.tolist(), first):
+                    if value > spec.threshold:
+                        candidate = None
+                        continue
+                    if candidate is None:
+                        candidate = k
+                    if k - candidate + 1 >= window:
+                        outcome, last = (True, candidate), k
+                        break
+                candidates[b] = candidate
+            if outcome is None and last == spec.max_iters:
+                outcome = (False, spec.max_iters)
+            n = last - first + 1
+            blocks[b].append(_diagnostics_block(followers[:n], leaders[:n],
+                                                state.starts, state.owner))
+            if outcome is None:
+                keep.append(member)
+                continue
             trace = Trace(spec.fingerprint(),
-                          *(np.concatenate(c) for c in zip(*blocks)))
-            return RunResult(*outcome, trace)
-        first = last + 1
+                          *(np.concatenate(c) for c in zip(*blocks[b])))
+            results[b], blocks[b] = RunResult(*outcome, trace), None
+        if not keep:
+            return results
+        if len(keep) < len(live):
+            state._keep(keep)
+            live = [live[member] for member in keep]
+            steps = tuple(steps[member] for member in keep)
+        first = end + 1
 
 
 def run(network, spec) -> Trace:
     """Execute spec.max_iters sweeps and record diagnostics every iteration."""
-    return _drive(network, spec, until=False).trace
+    return _drive(network, [spec], until=False)[0].trace
 
 
 def stopping_metric(state: NetworkState) -> float:
@@ -406,4 +494,4 @@ def run_until(network, spec) -> RunResult:
     trace equal those of a check after every sweep; the sweeps the driver
     runs past the stop, to the end of its block, are not visible.
     """
-    return _drive(network, spec, until=True)
+    return _drive(network, [spec], until=True)[0]

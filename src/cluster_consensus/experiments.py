@@ -5,7 +5,7 @@ ring, leaders chained on a line graph, gamma = 0.5, beta = 0.1, delay 10.
 The large preset scales to 400 nodes: five random-geometric clusters of 80
 (radius 0.3), delay 20, beta = 0.05.  All studies reuse one seed and one
 network across rows so that differences between rows come from the swept
-parameter alone.
+parameter alone, and they run their rows as one batch (see _run_rows).
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scenario
 from .analysis import bound_params, verify_bounds
-from .engine import run, run_until
+from .engine import _drive
 from .errors import DomainError
 from .scenario import ScenarioSpec
 from .topology import _check_delay, build_clustered_network, spectral_summary
@@ -89,6 +90,23 @@ def _linear_fit(xs, ys) -> LinearFit | None:
     return LinearFit(float(slope), float(intercept), r2)
 
 
+def _run_rows(network, specs, until: bool) -> list:
+    """One RunResult per spec of a study, in order.  Each distinct spec runs
+    once, and equal specs share its result.  The distinct specs run in
+    consecutive batches through the engine's batch driver, each batch as
+    long as its estimated peak memory stays within MAX_PEAK_BYTES."""
+    batches = []
+    for spec in dict.fromkeys(specs):
+        if not batches or (scenario._peak_bytes(*batches[-1], spec)
+                           > scenario.MAX_PEAK_BYTES):
+            batches.append([])
+        batches[-1].append(spec)
+    results = {}
+    for batch in batches:
+        results.update(zip(batch, _drive(network, batch, until)))
+    return [results[spec] for spec in specs]
+
+
 def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
     """Iterations-to-threshold as a function of the inter-leader delay.
 
@@ -97,13 +115,13 @@ def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
     Capped rows carry iterations = max_iters and are excluded from the fit.
     """
     network = build_clustered_network(base)
+    specs = [base.replace(tau=tau)
+             for tau in sorted(_check_delay("tau", t) for t in taus)]
     rows = []
-    for tau in sorted(_check_delay("tau", t) for t in taus):
-        spec = base.replace(tau=tau)
-        summary = spectral_summary(network, tau)
-        result = run_until(network, spec)
+    for spec, result in zip(specs, _run_rows(network, specs, until=True)):
+        summary = spectral_summary(network, spec.tau)
         rows.append({
-            "tau": tau,
+            "tau": spec.tau,
             "converged": result.converged,
             "iterations": result.iterations,
             "admissible": summary.admits(spec.beta),
@@ -126,13 +144,14 @@ def rate_study(base: ScenarioSpec, betas) -> SweepResult:
         raise DomainError("rate study checks the gap envelope, which requires "
                           "tau_intra = 0")
     network = build_clustered_network(base)
-    rows = []
-    for beta in sorted(float(b) for b in betas):
+    betas = sorted(float(b) for b in betas)
+    for beta in betas:
         if not (0.0 < beta < 1.0):
             raise DomainError(f"rate study needs beta in (0, 1), got {beta}")
-        gamma = beta ** (1.0 / 3.0)
-        spec = base.replace(beta=beta, gamma=gamma)
-        trace = run(network, spec)
+    specs = [base.replace(beta=beta, gamma=beta ** (1.0 / 3.0)) for beta in betas]
+    rows = []
+    for spec, result in zip(specs, _run_rows(network, specs, until=False)):
+        beta, gamma, trace = spec.beta, spec.gamma, result.trace
         params = bound_params(network, spec)
         report = verify_bounds(trace, params)
         rows.append({
@@ -156,17 +175,17 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
     """
     network = build_clustered_network(base)
     admissible = spectral_summary(network, base.tau).admits(base.beta)
+    specs = [base.replace(tau_intra=tau_intra) for tau_intra in
+             sorted(_check_delay("tau_intra", t) for t in tau_intra_values)]
     rows = []
-    for tau_intra in sorted(_check_delay("tau_intra", t) for t in tau_intra_values):
-        spec = base.replace(tau_intra=tau_intra)
-        result = run_until(network, spec)
+    for spec, result in zip(specs, _run_rows(network, specs, until=True)):
         below = result.trace.follower_disagreement.max(axis=1) <= spec.threshold
         follower_iter = int(below.argmax()) if below.any() else None
         ratio = None
         if result.converged and follower_iter is not None:
             ratio = result.iterations / max(follower_iter, 1)
         rows.append({
-            "tau_intra": tau_intra,
+            "tau_intra": spec.tau_intra,
             "converged": result.converged,
             "iterations": result.iterations,
             "follower_iterations": follower_iter,

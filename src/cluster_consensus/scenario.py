@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import isfinite
 from numbers import Integral, Real
 
-from .engine import _history_layout
+from .engine import _block_length, _history_slots
 from .errors import ConfigError
 
 TOPOLOGY_FAMILIES = ("ring", "geometric", "explicit")
@@ -219,21 +219,28 @@ class ScenarioSpec:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _peak_bytes(spec) -> int:
-    """Estimated peak memory of building and running `spec`, in bytes:
-    _BYTES_PER_PAIR for every node pair of each cluster and of the leaders,
-    the history buffer (slots x N x d x 8 bytes, see engine._history_layout)
-    and one sweep's gather: ids, weights and two (width + 2, N, d) stacks
-    of terms, width bounding every row's degree, and the (N, 1) steps."""
+def _peak_bytes(*specs) -> int:
+    """Estimated peak memory of building the network of specs[0] and
+    running `specs`, which share it and d, as one batch (see engine._drive),
+    in bytes: _BYTES_PER_PAIR for every node pair of each cluster and of
+    the leaders, the history buffer (slots x N x d x 8 bytes over the N
+    rows of all instances, as deep as the longest delay, see
+    engine._history_slots) and one sweep's gather: ids, weights and two
+    (width + 2, N, d) stacks of terms, width bounding every row's degree,
+    and the (N, 1) steps.  A batch of more than one instance is charged a
+    second buffer, because dropping the finished instances copies the
+    others into a fresh buffer while the old one is alive."""
+    spec = specs[0]
     followers = [s - 1 for s in spec.cluster_sizes]
     r = len(followers)
-    rows = sum(followers) + r
+    rows = (sum(followers) + r) * len(specs)
     width = max(2 if spec.family == "ring" else max(followers) - 1,
                 min(2, r - 1) if spec.leader_graph == "line" else r - 1)
     pairs = sum(n * n for n in followers) + r * r
     gather = 8 * rows * ((2 + 2 * spec.d) * (width + 2) + 1)
-    _, slots = _history_layout(rows, spec.d, max(spec.tau, spec.tau_intra))
-    return _BYTES_PER_PAIR * pairs + gather + 8 * spec.d * rows * slots
+    reach = max(max(s.tau, s.tau_intra) for s in specs)
+    history = 8 * spec.d * rows * _history_slots(reach, _block_length(rows, spec.d))
+    return _BYTES_PER_PAIR * pairs + gather + min(len(specs), 2) * history
 
 
 def _untuple(v):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from cluster_consensus import (
@@ -20,6 +22,7 @@ from cluster_consensus import (
     sample_initial_values,
     verify_bounds,
 )
+from cluster_consensus.analysis import _squares
 
 DELTA_LINE3 = 2 / 3    # three leaders on a line under max-degree weights
 
@@ -394,3 +397,31 @@ def test_violations_match_per_iteration_reference():
         "follower_disagreement": 2, "leader_disagreement": 2,
         "leader_follower_gap": 2, "node_error": 4}
     assert data["checked"] == 201 * (3 + 1 + 3 + 3)
+
+
+# ---------------------------------------------------------------------
+# squared norms
+# ---------------------------------------------------------------------
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 9),
+    lead=st.lists(st.integers(1, 5), max_size=3),
+    data=st.data(),
+)
+def test_squares_equals_reduce_bytes(d, lead, data):
+    """The slice-by-slice sum gives the bytes of numpy's reduction on both
+    sides of d = 7, signed zeros, infinities and NaNs included."""
+    shape = tuple(lead) + (d,)
+    count = int(np.prod(shape))
+    values = data.draw(st.lists(st.one_of(st.floats(allow_nan=True), SPECIAL),
+                                min_size=count, max_size=count))
+    x = np.array(values, dtype=float).reshape(shape)
+    with np.errstate(all="ignore"):
+        expected = np.add.reduce(x * x, axis=-1)
+        got = _squares(x)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()

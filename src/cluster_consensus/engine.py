@@ -161,18 +161,15 @@ class NetworkState:
     def block_states(self, first: int, member: int = 0) -> tuple:
         """(n, N_f, d) and (n, r, d) stacks of the followers and leaders of
         instance `member` at iterations first..k, one layer per iteration;
-        first must start a block and k lie in it.  With one instance they
-        are views into the buffer; with more, a copy of the instance's rows
-        into one contiguous array, so that every reduction over them sees
-        the strides, and computes the bits, of a state of one instance."""
+        first must start a block and k lie in it.  They are views into the
+        buffer, which later iterations overwrite."""
         n = self.k - first + 1
         if first % self.block or not (0 < n <= self.block):
             raise DomainError(f"iterations {first}..{self.k} do not lie in one "
                               f"block of {self.block}")
-        layers = self._history[self._slot + 1 - n:self._slot + 1]
-        if len(self.delays) > 1:
-            layers = layers[:, member * self._rows:(member + 1) * self._rows].copy()
-        return layers[:, :self._split], layers[:, self._split:self._rows]
+        layers = self._history[self._slot + 1 - n:self._slot + 1,
+                               member * self._rows:(member + 1) * self._rows]
+        return layers[:, :self._split], layers[:, self._split:]
 
     def _keep(self, members) -> None:
         """Keep only the instances at positions `members`, in ascending

@@ -90,21 +90,26 @@ def _linear_fit(xs, ys) -> LinearFit | None:
     return LinearFit(float(slope), float(intercept), r2)
 
 
-def _run_rows(network, specs, until: bool) -> list:
-    """One RunResult per spec of a study, in order.  Each distinct spec runs
-    once, and equal specs share its result.  The distinct specs run in
-    consecutive batches through the engine's batch driver, each batch as
-    long as its estimated peak memory stays within MAX_PEAK_BYTES."""
+def _run_rows(network, specs, until: bool, row) -> list:
+    """One row per spec of a study, in order: row(spec, result) of the
+    spec's RunResult.  Each distinct spec runs once, and equal specs get
+    copies of its row.  The distinct specs run in consecutive batches
+    through the engine's batch driver, each batch as long as its estimated
+    peak memory stays within MAX_PEAK_BYTES, and a batch's results become
+    rows before the next batch runs, so the traces of one batch at a time
+    are alive."""
     batches = []
     for spec in dict.fromkeys(specs):
         if not batches or (scenario._peak_bytes(*batches[-1], spec)
                            > scenario.MAX_PEAK_BYTES):
             batches.append([])
         batches[-1].append(spec)
-    results = {}
+    rows = {}
     for batch in batches:
-        results.update(zip(batch, _drive(network, batch, until)))
-    return [results[spec] for spec in specs]
+        # A generator, so that no loop variable keeps a result alive.
+        rows.update((spec, row(spec, result))
+                    for spec, result in zip(batch, _drive(network, batch, until)))
+    return [dict(rows[spec]) for spec in specs]
 
 
 def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
@@ -117,16 +122,18 @@ def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
     network = build_clustered_network(base)
     specs = [base.replace(tau=tau)
              for tau in sorted(_check_delay("tau", t) for t in taus)]
-    rows = []
-    for spec, result in zip(specs, _run_rows(network, specs, until=True)):
+
+    def row(spec, result):
         summary = spectral_summary(network, spec.tau)
-        rows.append({
+        return {
             "tau": spec.tau,
             "converged": result.converged,
             "iterations": result.iterations,
             "admissible": summary.admits(spec.beta),
             "beta_max": summary.beta_max,
-        })
+        }
+
+    rows = _run_rows(network, specs, True, row)
     done = [r for r in rows if r["converged"]]
     line = _linear_fit([r["tau"] for r in done], [r["iterations"] for r in done])
     return SweepResult("tau", rows, line)
@@ -149,12 +156,12 @@ def rate_study(base: ScenarioSpec, betas) -> SweepResult:
         if not (0.0 < beta < 1.0):
             raise DomainError(f"rate study needs beta in (0, 1), got {beta}")
     specs = [base.replace(beta=beta, gamma=beta ** (1.0 / 3.0)) for beta in betas]
-    rows = []
-    for spec, result in zip(specs, _run_rows(network, specs, until=False)):
+
+    def row(spec, result):
         beta, gamma, trace = spec.beta, spec.gamma, result.trace
         params = bound_params(network, spec)
         report = verify_bounds(trace, params)
-        rows.append({
+        return {
             "beta": beta,
             "gamma": gamma,
             "converged": True,       # fixed-horizon run
@@ -162,8 +169,9 @@ def rate_study(base: ScenarioSpec, betas) -> SweepResult:
             "residual_term": 2.0 * params.p_max * beta ** (2.0 / 3.0),
             "sup_gap": float(trace.leader_follower_gap.max()),
             "bound_ok": report.families["leader_follower_gap"].failures == 0,
-        })
-    return SweepResult("beta", rows)
+        }
+
+    return SweepResult("beta", _run_rows(network, specs, False, row))
 
 
 def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
@@ -177,19 +185,20 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
     admissible = spectral_summary(network, base.tau).admits(base.beta)
     specs = [base.replace(tau_intra=tau_intra) for tau_intra in
              sorted(_check_delay("tau_intra", t) for t in tau_intra_values)]
-    rows = []
-    for spec, result in zip(specs, _run_rows(network, specs, until=True)):
+
+    def row(spec, result):
         below = result.trace.follower_disagreement.max(axis=1) <= spec.threshold
         follower_iter = int(below.argmax()) if below.any() else None
         ratio = None
         if result.converged and follower_iter is not None:
             ratio = result.iterations / max(follower_iter, 1)
-        rows.append({
+        return {
             "tau_intra": spec.tau_intra,
             "converged": result.converged,
             "iterations": result.iterations,
             "follower_iterations": follower_iter,
             "separation_ratio": ratio,
             "admissible": admissible,
-        })
-    return SweepResult("tau_intra", rows)
+        }
+
+    return SweepResult("tau_intra", _run_rows(network, specs, True, row))

@@ -229,7 +229,9 @@ def _peak_bytes(*specs) -> int:
     (width + 2, N, d) stacks of terms, width bounding every row's degree,
     and the (N, 1) steps.  A batch of more than one instance is charged a
     second buffer, because dropping the finished instances copies the
-    others into a fresh buffer while the old one is alive."""
+    others into a fresh buffer while the old one is alive.  Traces are not
+    charged: a run holds K x (3r + 2) x 8 bytes for K recorded iterations,
+    and a batch holds that for every instance until it ends."""
     spec = specs[0]
     followers = [s - 1 for s in spec.cluster_sizes]
     r = len(followers)

@@ -1,6 +1,9 @@
 """The batch driver: every instance of a batch equals its run of its own,
 byte for byte, and the studies run their rows through it."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,3 +221,24 @@ def test_study_splits_rows_under_peak_limit(monkeypatch, study, base, values):
     assert [len(batch) for batch in batches] == [1] * len(values)
     assert [batch[0] for batch in batches] == specs
     assert repr(split) == repr(whole)
+
+
+def test_study_releases_each_batch_before_the_next(monkeypatch):
+    """A study turns a batch's results into rows before it runs the next
+    batch, so only one batch's traces are alive at a time."""
+    base, values = INTRA_DELAY_BASE.replace(max_iters=400), [0, 2, 15]
+    drive, alive = engine._drive, []
+
+    def recording(network, specs, until):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        results = drive(network, specs, until)
+        refs.extend(weakref.ref(result.trace) for result in results)
+        return results
+
+    refs = []
+    monkeypatch.setattr(experiments, "_drive", recording)
+    monkeypatch.setattr(scenario, "MAX_PEAK_BYTES", max(
+        scenario._peak_bytes(base.replace(tau_intra=t)) for t in values))
+    intra_delay_study(base, values)
+    assert alive == [0, 0, 0] and len(refs) == 3

@@ -200,15 +200,19 @@ def bound_params(network, spec) -> BoundParams:
 # closed-form envelopes
 # ---------------------------------------------------------------------
 
+def _powers(q: float, count: int) -> np.ndarray:
+    """q ** k for k = 0 .. count - 1, each Python's float ** int, which
+    np.power does not always match to the last bit."""
+    return np.array(list(map(q.__pow__, range(count))), float)
+
+
 def envelopes(params: BoundParams, count: int) -> tuple:
     """Every applicable envelope at iterations 0..count-1.
 
     Returns (follower, leader, gap, node): arrays of shape (count, r),
     (count,), (count, r) and (count, r), None for a family whose hypotheses
     the run violates (beta outside (0, beta_max) for the leader and node
-    families, intra-cluster delay for the follower families).  Powers are
-    Python's float ** int, which np.power does not always match to the
-    last bit.
+    families, intra-cluster delay for the follower families).
     """
     if not (isinstance(count, Integral) and count >= 0):
         raise DomainError(f"iteration count must be a non-negative integer, "
@@ -216,15 +220,15 @@ def envelopes(params: BoundParams, count: int) -> tuple:
     r = len(params.sigma_per_cluster)
     follower = leader = gap = node = None
     if params.follower_applicable:
-        rates = [(1.0 - params.gamma) * s for s in params.sigma_per_cluster]
-        powers = np.array([[q ** k for q in rates] for k in range(count)], float)
-        follower = powers.reshape(count, r) * np.array(params.follower_init_norms)
-        decay = np.array([(1.0 - params.gamma) ** k for k in range(count)], float)
+        follower = np.empty((count, r))
+        for a, s in enumerate(params.sigma_per_cluster):
+            follower[:, a] = _powers((1.0 - params.gamma) * s, count)
+        follower *= np.array(params.follower_init_norms)
         residual = 2.0 * params.p_max * params.beta / params.gamma
-        gap = decay[:, None] * np.array(params.initial_gaps) + residual
+        gap = (_powers(1.0 - params.gamma, count)[:, None] * np.array(params.initial_gaps)
+               + residual)
     if params.leader_applicable:
-        leader = (2.0 * np.array([params.eta ** k for k in range(count)], float)
-                  * params.leader_init_norm)
+        leader = 2.0 * _powers(params.eta, count) * params.leader_init_norm
     if follower is not None and leader is not None:
         node = follower + leader[:, None] + gap
     return follower, leader, gap, node

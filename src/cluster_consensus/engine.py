@@ -25,20 +25,25 @@ matrix, diagonal first, so that one reduction over the slots sums each row
 in the per-node order, and repeats it for every instance at the offset of
 its rows.  Its ids point into the window of the last iterations, as many
 as the longest delay of the batch plus one, so a delayed read is a fixed
-offset, the row's own delay back; `_sweep` gathers every term at once and
+offset, the row's own delay back.  `_sweeps` runs a block of sweeps in one
+loop on the table's weights and steps broadcast to the full shape of the
+terms (`_sweep_operands`); each sweep gathers every term at once and
 writes the new states straight into the buffer slot of the next iteration.
 Every value equals the per-node accumulation bit for bit.
 
-The run driver sweeps a block of iterations back to back and then
-evaluates the block at once, instance by instance, reading its states from
-the buffer (`NetworkState.block_states`): the stopping metric of every
-iteration in one reduction, and every error family, written into the
-columns of a `Trace`.  No Python object is built per iteration.  An
-instance that has stopped leaves the batch at the end of its block.  The
-test suite checks the updates against the per-node form, the block-wise
-stopping rule against a check after every sweep, both against an
-independent dense matrix-form evaluation of the same equations, and every
-instance of a batch against its run of its own, byte for byte.
+The run driver sweeps a block of iterations back to back, in one call of
+`advance`, and then evaluates the block at once, instance by instance,
+reading its states from the buffer (`NetworkState.block_states`): the
+stopping metric of every iteration in one reduction, and every error
+family, written into the columns of a `Trace`.  No Python object is built
+per iteration.  A run_until checks its stopping rule after each block of
+up to BLOCK_ITERATIONS; a run, which checks none, makes one block of the
+whole run (see _block_length).  An instance that has stopped leaves the
+batch at the end of its block.  The test suite checks the updates against
+the per-node form, the block-wise stopping rule against a check after
+every sweep, both against an independent dense matrix-form evaluation of
+the same equations, and every instance of a batch against its run of its
+own, byte for byte.
 """
 
 from __future__ import annotations
@@ -67,17 +72,21 @@ class StepSizes:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-# Diagnostics are evaluated for up to BLOCK_ITERATIONS consecutive
-# iterations at once, fewer where one iteration of the network's states
-# takes more than BLOCK_BYTES / BLOCK_ITERATIONS bytes.
+# Diagnostics are evaluated for a block of consecutive iterations at once:
+# up to BLOCK_ITERATIONS of them where a stopping rule is checked after each
+# block, the whole run where none is, and never more iterations of the
+# network's states than BLOCK_BYTES holds.
 BLOCK_ITERATIONS = 64
 BLOCK_BYTES = 2 << 20
 
 
-def _block_length(rows: int, d: int) -> int:
+def _block_length(rows: int, d: int, iterations: int | None = None) -> int:
     """Iterations per diagnostics block for a stack of `rows` nodes of
-    dimension d."""
-    return max(1, min(BLOCK_ITERATIONS, BLOCK_BYTES // (8 * rows * d)))
+    dimension d: BLOCK_ITERATIONS, or `iterations` for a run of that many
+    iterations (0..max_iters) that checks no stopping rule, and at most as
+    many as fit in BLOCK_BYTES."""
+    longest = BLOCK_ITERATIONS if iterations is None else iterations
+    return max(1, min(longest, BLOCK_BYTES // (8 * rows * d)))
 
 
 def _history_slots(reach: int, block: int) -> int:
@@ -119,9 +128,10 @@ class NetworkState:
     first row of cluster a, the same in every instance.
     """
 
-    def __init__(self, network, values, delays):
+    def __init__(self, network, values, delays, iterations=None):
         """One instance per (N, d) array of initial values in `values`, row
-        i the node of global id i, with the delays of the same position."""
+        i the node of global id i, with the delays of the same position;
+        `iterations` sets the block length (see _block_length)."""
         sizes = [len(c.follower_ids) for c in network.clusters]
         order = ([i for c in network.clusters for i in c.follower_ids]
                  + [c.leader_id for c in network.clusters])
@@ -132,12 +142,13 @@ class NetworkState:
         self._split = sum(sizes)
         self._rows = len(order)                 # N_f + r
         self._set_delays(delays)
-        self.block = _block_length(*rows.shape)
+        self.block = _block_length(*rows.shape, iterations)
         self._history = np.empty((_history_slots(self._reach, self.block),)
                                  + rows.shape)
         self._slot = self._reach + 1            # the slot of iteration k
         self._history[:self._slot + 1] = rows
-        self._tables = None                     # (network, steps, sweep table)
+        self._tables = None     # (network, steps, sweep table, sweep operands)
+        self._band = None       # (network, _ellpack table of its matrices)
 
     def _set_delays(self, delays):
         self.delays = tuple((int(tau), int(tau_intra)) for tau, tau_intra in delays)
@@ -174,7 +185,8 @@ class NetworkState:
     def _keep(self, members) -> None:
         """Keep only the instances at positions `members`, in ascending
         order: a fresh buffer, as deep as their longest delay, takes their
-        window, and the next sweep builds their sweep table.  k must end a
+        window, and the next sweep builds their sweep table from the kept
+        _ellpack table (see _sweep_table).  k must end a
         block, so that the next iteration starts one right after the
         window, as after init."""
         self._tables = None
@@ -307,11 +319,18 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
     with the instance's own delays.  The last slot is the tracking term,
     gamma times the own leader read tau_intra iterations ago for a
     follower and 1 - beta times the own current state for a leader.
+
+    The _ellpack table depends on the network alone, so the state keeps it
+    for the next table, which dropping instances calls for (see
+    NetworkState._keep).
     """
     if isinstance(steps, StepSizes):
         steps = (steps,)
-    index, weight = _ellpack([c.follower_weights.entries for c in network.clusters]
-                             + [network.leader_weights.entries])
+    if state._band is None or state._band[0] is not network:
+        state._band = (network, _ellpack([c.follower_weights.entries
+                                          for c in network.clusters]
+                                         + [network.leader_weights.entries]))
+    index, weight = state._band[1]
     split, width, count = state._split, state._rows, len(state.delays)
     m = width * count
 
@@ -331,9 +350,26 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
     return index, np.concatenate([np.tile(weight, (count, 1)), track]), hold
 
 
-def _sweep(table, x: np.ndarray, out=None) -> np.ndarray:
-    """Apply a sweep table to an (M, d) stack of row states:
-    hold * (the sum of every slot but the last) + the last slot, per row.
+def _sweep_operands(table, d: int) -> tuple:
+    """The operands of _sweeps for (M, d) row states, from a sweep table:
+    its ids, its weights broadcast to (width + 2, M, d), its steps
+    broadcast to (M, d), and an (M, d) accumulator.  A multiply of two
+    operands of one shape is about twice as fast as one that broadcasts
+    over d, and the accumulator spares two allocations per sweep (see
+    _sweeps)."""
+    index, weight, hold = table
+    full = weight.shape[:2] + (d,)
+    return (index, np.broadcast_to(weight, full).copy(),
+            np.broadcast_to(hold, full[1:]).copy(), np.empty(full[1:]))
+
+
+def _sweeps(operands, history: np.ndarray, slot: int, window: int, count: int) -> int:
+    """Run `count` sweeps of a sweep table, as _sweep_operands gives it, on
+    a (slots, M, d) buffer whose `window` slots up to `slot` hold the
+    window that the table's ids point into, and return the slot of the last
+    sweep.  A sweep writes, per row, hold * (the sum of every slot of the
+    table but the last) + the last slot into the slot after the window,
+    after copying the window to the front where the buffer is full.
 
     One reduction over the outer axis of the C-contiguous stack of mixing
     terms adds the slots one after the other, element by element, so each
@@ -345,36 +381,46 @@ def _sweep(table, x: np.ndarray, out=None) -> np.ndarray:
     along the slots only for a stack of one or two values, and such a
     table has fewer than eight slots.)  The weights scale the gathered
     terms in place, which spares a second stack as large as the gather.
+    The gather allocates its stack: np.take with `out` and bounds checks
+    buffers its result, which is slower.
     """
-    index, weight, hold = table
-    terms = x.take(index, axis=0)
-    np.multiply(weight, terms, out=terms)
-    return np.add(hold * np.add.reduce(terms[:-1], axis=0, initial=-0.0), terms[-1],
-                  out=out)
+    index, weight, hold, acc = operands
+    multiply, add, reduce = np.multiply, np.add, np.add.reduce
+    flat = history.reshape(-1, history.shape[2])
+    rows, end = history.shape[1], len(history)
+    for _ in range(count):
+        slot += 1
+        if slot == end:
+            history[:window] = history[slot - window:]
+            slot = window
+        terms = flat[(slot - window) * rows:slot * rows].take(index, axis=0)
+        multiply(weight, terms, out=terms)
+        reduce(terms[:-1], axis=0, initial=-0.0, out=acc)
+        multiply(hold, acc, out=acc)
+        add(acc, terms[-1], out=history[slot])
+    return slot
 
 
-def advance(network, state: NetworkState, steps) -> NetworkState:
-    """One synchronous sweep: every row updates from pre-step values, and
-    the new states go straight into the buffer slot of iteration k + 1.
-    `steps` is a StepSizes, or one per instance of the state (see
-    _sweep_table).
+def advance(network, state: NetworkState, steps, count: int = 1) -> NetworkState:
+    """`count` synchronous sweeps: every row updates from pre-step values,
+    and the new states of iteration k + 1 go straight into its buffer slot
+    (see _sweeps).  `steps` is a StepSizes, or one per instance of the
+    state (see _sweep_table).
 
     The first sweep with a given network and step sizes builds the sweep
-    table, which every later sweep reuses.  The window is read whole before
-    the new slot is written, which never lies inside it.
+    table and its operands, which every later sweep reuses.  The window is
+    read whole before the new slot is written, which never lies inside it.
     """
+    if count < 0:
+        raise DomainError(f"sweep count must be non-negative, got {count}")
     cached = state._tables
     if cached is None or cached[0] is not network or cached[1] is not steps:
-        cached = state._tables = (network, steps,
-                                  _sweep_table(network, state, steps))
-    history, slot, window = state._history, state._slot + 1, state._reach + 1
-    if slot == len(history):
-        history[:window] = history[slot - window:]
-        slot = window
-    rows = history[slot - window:slot].reshape(-1, history.shape[2])
-    _sweep(cached[2], rows, out=history[slot])
-    state._slot = slot
-    state.k += 1
+        table = _sweep_table(network, state, steps)
+        cached = state._tables = (network, steps, table,
+                                  _sweep_operands(table, state._history.shape[2]))
+    state._slot = _sweeps(cached[3], state._history, state._slot, state._reach + 1,
+                          count)
+    state.k += count
     return state
 
 
@@ -396,10 +442,12 @@ def _drive(network, specs, until: bool) -> list:
 
     The instances are the stacked rows of one state, so one sweep advances
     them all.  The sweeps of a block of state.block iterations run back to
-    back.  Once the block's last iteration is in the buffer, or the
-    longest max_iters of the instances still recording is, the driver
-    evaluates the block instance by instance: with `until`, the stopping
-    metric of every iteration in one reduction, scanned for the
+    back, in one call of advance; without `until` nothing is checked
+    between blocks, so one block spans the longest max_iters as far as
+    BLOCK_BYTES allows.  Once the block's last iteration is in the buffer,
+    or the longest max_iters of the instances still recording is, the
+    driver evaluates the block instance by instance: with `until`, the
+    stopping metric of every iteration in one reduction, scanned for the
     confirmation window (a candidate carries over from block to block);
     then every error family, cut at the iteration where the instance's run
     ends.  An instance that ends inside a block has swept up to the
@@ -411,7 +459,8 @@ def _drive(network, specs, until: bool) -> list:
     """
     state = NetworkState(network, [sample_initial_values(s, network.total_nodes)
                                    for s in specs],
-                         [(s.tau, s.tau_intra) for s in specs])
+                         [(s.tau, s.tau_intra) for s in specs],
+                         None if until else max(s.max_iters for s in specs) + 1)
     live = list(range(len(specs)))      # the spec of each instance of the state
     steps = tuple(StepSizes(s.gamma, s.beta) for s in specs)
     blocks = [[] for _ in specs]
@@ -420,8 +469,8 @@ def _drive(network, specs, until: bool) -> list:
     first = 0              # first iteration of the block being filled
     while True:
         end = min(first + state.block - 1, max(specs[b].max_iters for b in live))
-        while state.k < end:
-            advance(network, state, steps)
+        if state.k < end:
+            advance(network, state, steps, end - state.k)
         keep = []
         for member, b in enumerate(live):
             spec, candidate = specs[b], candidates[b]

@@ -40,6 +40,12 @@ MAX_PEAK_BYTES = 2 << 30
 # about 50 on a sparse one.
 _BYTES_PER_PAIR = 160
 
+# Arrays as large as one instance's states over a diagnostics block that
+# evaluating the block holds at once: tracemalloc measures at most 4.0 on
+# the shapes of the tests (d from 1 to 10, 2 to 200 clusters), from the
+# per-row deviations, their squares and the norms of the error families.
+_DIAGNOSTICS_STACKS = 5
+
 # Keys that earlier versions wrote, each with the test a value must pass to be
 # discarded: the one placement was "first", the stride snapshot interval
 # was a non-negative integer.
@@ -225,24 +231,38 @@ def _peak_bytes(*specs) -> int:
     in bytes: _BYTES_PER_PAIR for every node pair of each cluster and of
     the leaders, the history buffer (slots x N x d x 8 bytes over the N
     rows of all instances, as deep as the longest delay, see
-    engine._history_slots) and one sweep's gather: ids, weights and two
-    (width + 2, N, d) stacks of terms, width bounding every row's degree,
-    and the (N, 1) steps.  A batch of more than one instance is charged a
-    second buffer, because dropping the finished instances copies the
-    others into a fresh buffer while the old one is alive.  Traces are not
-    charged: a run holds K x (3r + 2) x 8 bytes for K recorded iterations,
-    and a batch holds that for every instance until it ends."""
+    engine._history_slots, with the blocks of a run or of a run_until,
+    whichever needs more slots) and what the sweeps hold: the sweep table,
+    ids and weights (width + 2, N) and the (N, 1) steps, width bounding
+    every row's degree; its operands, weights (width + 2, N, d) and steps
+    and an accumulator (N, d) each; one (width + 2, N, d) stack of gathered
+    terms; the _ellpack table of one instance; and the temporaries of
+    evaluating one instance's block, _DIAGNOSTICS_STACKS times its states
+    over the longer of the blocks that the instance would get alone, which
+    no batch's blocks exceed.  A batch of more than
+    one instance is charged a second buffer, because dropping the finished
+    instances copies the others into a fresh buffer while the old one is
+    alive.  Traces are not charged: a run holds K x (3r + 2) x 8 bytes for
+    K recorded iterations, and a batch holds that for every instance until
+    it ends."""
     spec = specs[0]
     followers = [s - 1 for s in spec.cluster_sizes]
     r = len(followers)
-    rows = (sum(followers) + r) * len(specs)
+    nodes = sum(followers) + r
+    rows = nodes * len(specs)
     width = max(2 if spec.family == "ring" else max(followers) - 1,
                 min(2, r - 1) if spec.leader_graph == "line" else r - 1)
     pairs = sum(n * n for n in followers) + r * r
-    gather = 8 * rows * ((2 + 2 * spec.d) * (width + 2) + 1)
+    sweeps = (8 * rows * ((2 + 2 * spec.d) * (width + 2) + 1 + 2 * spec.d)
+              + 16 * nodes * (width + 1))
     reach = max(max(s.tau, s.tau_intra) for s in specs)
-    history = 8 * spec.d * rows * _history_slots(reach, _block_length(rows, spec.d))
-    return _BYTES_PER_PAIR * pairs + gather + min(len(specs), 2) * history
+    caps = (None, max(s.max_iters for s in specs) + 1)
+    history = 8 * spec.d * rows * max(
+        _history_slots(reach, _block_length(rows, spec.d, cap)) for cap in caps)
+    diagnostics = _DIAGNOSTICS_STACKS * 8 * spec.d * nodes * max(
+        _block_length(nodes, spec.d, cap) for cap in caps)
+    return (_BYTES_PER_PAIR * pairs + sweeps + min(len(specs), 2) * history
+            + diagnostics)
 
 
 def _untuple(v):

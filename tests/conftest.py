@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import cluster_consensus
-from cluster_consensus import ScenarioSpec, build_clustered_network
+from cluster_consensus import ScenarioSpec, build_clustered_network, engine
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +52,37 @@ def cli():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
     return CliLauncher(command, env)
+
+
+class _Swept(Exception):
+    """Ends a run after its first call to advance, carrying the state."""
+
+
+@pytest.fixture
+def swept_bytes(monkeypatch):
+    """measure(network, specs, until) runs `specs` as one batch through the
+    run driver, as run (until=False) or run_until would, up to the end of
+    the first block of sweeps, and returns the bytes that the sweeps hold
+    then, as _peak_bytes charges them: the buffer, twice for a batch of
+    several instances (the old and the fresh one while instances are
+    dropped), the sweep table and its operands, the _ellpack table and one
+    stack of gathered terms."""
+    sweep = engine.advance
+
+    def stop(network, state, steps, count=1):
+        sweep(network, state, steps, count)
+        raise _Swept(state)
+
+    def measure(network, specs, until):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "advance", stop)
+            with pytest.raises(_Swept) as swept:
+                engine._drive(network, specs, until)
+        state = swept.value.args[0]
+        _, _, table, operands = state._tables
+        arrays = {id(a): a for a in (*table, *operands, *state._band[1])}
+        return (min(len(specs), 2) * state._history.nbytes
+                + sum(a.nbytes for a in arrays.values())
+                + table[0].size * 8 * state._history.shape[2])
+
+    return measure

@@ -35,6 +35,7 @@ from cluster_consensus import (
     tau_sweep,
     verify_bounds,
 )
+from cluster_consensus import engine
 
 SLACK = 1e-9
 STEP_TOL = 1e-12
@@ -78,6 +79,33 @@ def test_criterion_01_envelope_satisfaction():
         for name, fam in report.families.items():
             assert fam.applicable and fam.checked > 0, (name, spec)
     assert time.perf_counter() - started < 60.0
+
+
+def test_criterion_01_runs_in_one_block(monkeypatch):
+    """Each criterion-1 run sweeps its 500 iterations in one call and one
+    diagnostics block, and its columns are the bytes of a run in blocks of
+    BLOCK_ITERATIONS, eight per run."""
+    rng = np.random.default_rng(2024)
+    specs = [random_admissible_instance(rng, index) for index in range(50)]
+    networks = [build_clustered_network(spec) for spec in specs]
+    sweep, block_length, counts = engine.advance, engine._block_length, []
+
+    def counting(network, state, steps, count=1):
+        counts.append(count)
+        return sweep(network, state, steps, count)
+
+    def columns():
+        counts.clear()
+        return [[c.tobytes() for c in run(network, spec).columns]
+                for network, spec in zip(networks, specs)]
+
+    monkeypatch.setattr(engine, "advance", counting)
+    whole = columns()
+    assert counts == [500] * 50
+    monkeypatch.setattr(engine, "_block_length",
+                        lambda rows, d, iterations=None: block_length(rows, d))
+    assert columns() == whole
+    assert counts == [63, 64, 64, 64, 64, 64, 64, 53] * 50
 
 
 def test_criterion_02_rate_boundary_identity():

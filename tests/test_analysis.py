@@ -220,6 +220,44 @@ def test_bounds_reject_bad_iteration():
     assert all(v.shape[0] == 0 for v in envelopes(params, 0))
 
 
+def power_table_envelopes(params, count):
+    """envelopes as one Python float ** int per entry, built row by row."""
+    rates = [(1.0 - params.gamma) * s for s in params.sigma_per_cluster]
+    powers = np.array([[q ** k for q in rates] for k in range(count)], float)
+    follower = powers.reshape(count, len(rates)) * np.array(params.follower_init_norms)
+    decay = np.array([(1.0 - params.gamma) ** k for k in range(count)], float)
+    gap = (decay[:, None] * np.array(params.initial_gaps)
+           + 2.0 * params.p_max * params.beta / params.gamma)
+    leader = (2.0 * np.array([params.eta ** k for k in range(count)], float)
+              * params.leader_init_norm)
+    return follower, leader, gap, follower + leader[:, None] + gap
+
+
+# 0, 1, the smallest subnormal, a larger subnormal and values next to 1.
+EDGE_RATES = st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1.0 - 2.0 ** -53,
+                              1.0 - 2.0 ** -52, 1.0 - 1e-9])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gamma=st.one_of(st.sampled_from([0.5, 2.0 ** -52, 1.0 - 2.0 ** -53]),
+                    st.floats(1e-9, 1.0, exclude_max=True)),
+    sigmas=st.lists(st.one_of(EDGE_RATES, st.just(2.0), st.floats(0.0, 1.0)),
+                    min_size=3, max_size=3),
+    rate=st.one_of(EDGE_RATES, st.floats(0.0, 1.0)),
+    count=st.one_of(st.sampled_from([0, 1, 2, 501]), st.integers(0, 700)),
+)
+def test_envelopes_equal_float_powers(gamma, sigmas, rate, count):
+    """Every envelope table holds the bytes of Python's q ** k per entry,
+    at rates 0 and 1, subnormal rates and rates next to 1 (sigma = 2 with
+    gamma = 1/2 gives a follower rate of exactly 1)."""
+    spec = admissible_spec()
+    params = dataclasses.replace(bound_params(build_clustered_network(spec), spec),
+                                 gamma=gamma, sigma_per_cluster=tuple(sigmas), eta=rate)
+    for got, want in zip(envelopes(params, count), power_table_envelopes(params, count)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 byte for byte, and the studies run their rows through it."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -86,13 +87,16 @@ def tiny_base(**changes):
 @pytest.mark.parametrize("block", [5, 64])
 def test_batch_stops_in_same_block_different_blocks_and_at_cap(monkeypatch, block):
     """Instances that settle in one block, in different blocks, and one cut
-    by its cap while the others still run, in one batch."""
+    by its cap while the others still run, in one batch.  A byte budget
+    of `block` iterations of the batch caps the blocks of its run, which
+    would otherwise span the run."""
     monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
     base = tiny_base()
     network = build_clustered_network(base)
     specs = [base.replace(threshold=1e-2), base.replace(threshold=1.5e-2),
              base.replace(threshold=1e-4, tau_intra=3), base.replace(tau=9, max_iters=17),
              base.replace(threshold=1e-12, max_iters=100)]
+    monkeypatch.setattr(engine, "BLOCK_BYTES", block * 8 * len(specs) * network.total_nodes)
     outcomes = [solo(network, spec, until=True)[:2] for spec in specs]
     ends = [it + max(s.tau, s.tau_intra) if ok else s.max_iters
             for (ok, it), s in zip(outcomes, specs)]
@@ -121,13 +125,44 @@ def test_batch_equals_solo_property(rows, d, block, until):
              for tau, tau_intra, gamma, beta, cap, threshold in rows]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_ITERATIONS", block)
+        patch.setattr(engine, "BLOCK_BYTES", block * 8 * len(specs) * network.total_nodes * d)
         assert_batch_matches_solo(network, specs, until)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    delays=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                    min_size=1, max_size=3),
+    d=st.sampled_from([1, 3]),
+    block=st.sampled_from([1, 4, 64]),
+    counts=st.lists(st.integers(1, 40), max_size=4),
+)
+def test_advance_count_equals_single_sweeps(delays, d, block, counts):
+    """advance(..., count=n) writes the bytes of n calls of one sweep each,
+    also where the buffer is full and the window moves to its front; the
+    last count spans the whole buffer, so it always crosses that shift."""
+    base = tiny_base(d=d)
+    network = build_clustered_network(base)
+    values = [sample_initial_values(base.replace(seed=s), network.total_nodes)
+              for s in range(len(delays))]
+    steps = tuple(StepSizes(0.3 + 0.2 * b, 0.1 + 0.3 * b) for b in range(len(delays)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_ITERATIONS", block)
+        many, single = (engine.NetworkState(network, values, delays) for _ in range(2))
+    for count in counts + [len(many._history)]:
+        advance(network, many, steps, count)
+        for _ in range(count):
+            advance(network, single, steps)
+        assert (many.k, many._slot) == (single.k, single._slot)
+        assert (many._history[:many._slot + 1].tobytes()
+                == single._history[:single._slot + 1].tobytes())
 
 
 def test_dropping_instances_keeps_their_windows(monkeypatch):
     """After the batch drops an instance, the others read the same history
     as before: each kept instance's window moves whole into a buffer as
-    deep as the longest kept delay."""
+    deep as the longest kept delay.  Their next sweep table comes from the
+    _ellpack table built for the first one."""
     monkeypatch.setattr(engine, "BLOCK_ITERATIONS", 4)
     base = tiny_base(d=2)
     network = build_clustered_network(base)
@@ -148,7 +183,10 @@ def test_dropping_instances_keeps_their_windows(monkeypatch):
         assert (state._history[state._slot - 5:state._slot + 1,
                                to * width:(to + 1) * width].tobytes()
                 == before[b].tobytes())
+    band = state._band
+    monkeypatch.setattr(engine, "_ellpack", None)
     advance(network, state, steps[::2])
+    assert state._band is band and state._tables is not None
     split = width - len(network.clusters)
     now = state._history[state._slot]
     for to in range(2):
@@ -158,22 +196,33 @@ def test_dropping_instances_keeps_their_windows(monkeypatch):
         assert leaders.tobytes() == now[to * width + split:(to + 1) * width].tobytes()
 
 
-def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch):
+def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch, swept_bytes):
     """The estimate for a batch covers the buffer twice (the old and the
-    fresh one while instances are dropped), the table and one gather."""
-    base = tiny_base(d=3)
-    network = build_clustered_network(base)
-    specs = [base.replace(tau=t, tau_intra=ti) for t, ti in ((0, 0), (40, 3), (5, 70))]
-    state = engine.NetworkState(
-        network, [sample_initial_values(s, network.total_nodes) for s in specs],
-        [(s.tau, s.tau_intra) for s in specs])
-    advance(network, state, tuple(StepSizes(s.gamma, s.beta) for s in specs))
-    index, weight, hold = state._tables[2]
-    allocated = (2 * state._history.nbytes + index.nbytes + weight.nbytes + hold.nbytes
-                 + 2 * index.size * base.d * 8)
-    monkeypatch.setattr(scenario, "_BYTES_PER_PAIR", 0)
-    assert scenario._peak_bytes(*specs) >= allocated
-    assert scenario._peak_bytes(specs[0]) < scenario._peak_bytes(*specs)
+    fresh one while instances are dropped), the table, its operands and
+    one gather, with the blocks of a run and of a run_until; and, with the
+    per-pair charge, the peak that tracemalloc measures while the batch
+    runs, traces aside (twice their bytes, as in a run of one)."""
+    for base in (tiny_base(d=3), ScenarioSpec(family="ring", cluster_sizes=(30,) * 4,
+                                              gamma=0.5, beta=0.05, tau=3, d=10, seed=5,
+                                              max_iters=300)):
+        specs = [base.replace(tau=t, tau_intra=ti)
+                 for t, ti in ((0, 0), (40, 3), (5, 70))]
+        network = build_clustered_network(base)
+        estimate = scenario._peak_bytes(*specs)
+        assert scenario._peak_bytes(specs[0]) < estimate
+        for until in (False, True):
+            tracemalloc.start()
+            try:
+                results = engine._drive(network, specs, until)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            traces = 2 * sum(c.nbytes for result in results for c in result.trace.columns)
+            assert estimate + traces >= peak, until
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "_BYTES_PER_PAIR", 0)
+            for until in (False, True):
+                assert scenario._peak_bytes(*specs) >= swept_bytes(network, specs, until)
 
 
 # ---------------------------------------------------------------------

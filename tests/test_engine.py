@@ -402,7 +402,9 @@ def assert_gather_sum_matches(blocks, x, width):
     hold, track = rng.uniform(0.05, 1.0, (2, n, 1))
     table = (np.vstack([index, np.arange(n)]), np.concatenate([weight, track[None]]),
              hold)
-    got = engine._sweep(table, x)
+    history = np.stack([x, np.empty_like(x)])
+    assert engine._sweeps(engine._sweep_operands(table, x.shape[1]), history, 0, 1, 1) == 1
+    got = history[1]
     want = hold * reference_block_sum(blocks, x) + track * x
     assert got.tobytes() == want.tobytes()
 
@@ -662,6 +664,10 @@ def test_sweep_table_built_once_on_first_sweep(tiny_spec):
     assert table is not None
     advance(network, state, sizes)
     assert state._tables is table
+    advance(network, state, sizes, 0)
+    with pytest.raises(DomainError):
+        advance(network, state, sizes, -1)
+    assert state.k == 2 and state._tables is table
 
 
 # ---------------------------------------------------------------------
@@ -961,14 +967,17 @@ def column_bytes(trace):
 def test_columns_independent_of_block_length(monkeypatch, sizes, edges, d, tau_intra):
     """Traced columns are the same bytes whatever the block length and
     wherever the run ends relative to a block boundary, and a shorter run
-    or a run_until is a byte prefix of a longer run."""
+    or a run_until is a byte prefix of a longer run.  A byte budget of
+    `block` iterations caps the blocks of a run, which would otherwise
+    span the run; the last length spans the longest run whole."""
     spec = ScenarioSpec(family="explicit", cluster_sizes=sizes, cluster_edges=edges,
                         gamma=0.4, beta=0.3, tau=3, tau_intra=tau_intra, d=d,
                         seed=17, max_iters=130, threshold=1e-2)
     network = build_clustered_network(spec)
     full = None
-    for block in BLOCKS:
+    for block in BLOCKS + (spec.max_iters + 1,):
         monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
+        monkeypatch.setattr(engine, "BLOCK_BYTES", block * 8 * network.total_nodes * d)
         full = full or column_bytes(run(network, spec))      # blocks of 1
         # 7, 14 and 21 rows end on a boundary of blocks of 7, 64 rows on one
         # of blocks of 64; the other lengths end in a partial block

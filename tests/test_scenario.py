@@ -1,19 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from cluster_consensus import (
     ConfigError,
     ScenarioSpec,
-    StepSizes,
-    advance,
     build_clustered_network,
-    init_state,
     parse_config_text,
     preset_large,
     preset_small,
-    sample_initial_values,
+    run,
+    run_until,
     scenario,
 )
 
@@ -187,7 +186,9 @@ def test_from_dict_rejects_bad_record_stride(value):
 
 # The presets, the shapes the benchmark runs (preset_large, the largest
 # criterion-1 instance, criterion 9's network at its longest follower delay
-# and the two wide-cluster networks) and preset_large at a long delay.
+# and the two wide-cluster networks), preset_large at a long delay, and
+# rings of d = 10, whose sweeps hold several (N, d) arrays beside a narrow
+# gather.
 PEAK_SHAPES = {
     "preset-small": preset_small(),
     "preset-large": preset_large(),
@@ -203,22 +204,38 @@ PEAK_SHAPES = {
                                    radius=0.1, gamma=0.5, beta=0.05, tau=20,
                                    seed=23, max_iters=1000),
     "preset-large-tau-1000": preset_large().replace(tau=1000),
+    "ring-d10": ScenarioSpec(family="ring", cluster_sizes=(30,) * 4, gamma=0.5,
+                             beta=0.05, tau=3, d=10, seed=5, max_iters=300),
 }
 
 
 @pytest.mark.parametrize("name", list(PEAK_SHAPES))
-def test_peak_bytes_covers_buffer_and_gather(monkeypatch, name):
+def test_peak_bytes_covers_buffer_and_gather(monkeypatch, swept_bytes, name):
     """Without the per-pair charge for building and solving, the memory
-    estimate still covers the history buffer and the arrays of one sweep's
-    gather as the engine allocates them."""
+    estimate still covers the history buffer and the arrays of the sweeps
+    as the engine allocates them, both for a run, whose block spans the
+    run, and for a run_until, whose blocks are shorter."""
     spec = PEAK_SHAPES[name]
     network = build_clustered_network(spec)
-    state = init_state(network, sample_initial_values(spec, network.total_nodes),
-                       spec.tau, spec.tau_intra)
-    advance(network, state, StepSizes(spec.gamma, spec.beta))
-    index, weight, hold = state._tables[2]
-    terms = index.size * spec.d * 8                 # one (width + 2, N, d) stack
-    allocated = (state._history.nbytes + index.nbytes + weight.nbytes + hold.nbytes
-                 + 2 * terms)
+    allocated = [swept_bytes(network, [spec], until) for until in (False, True)]
     monkeypatch.setattr(scenario, "_BYTES_PER_PAIR", 0)
-    assert scenario._peak_bytes(spec) >= allocated
+    assert scenario._peak_bytes(spec) >= max(allocated)
+
+
+@pytest.mark.parametrize("name", list(PEAK_SHAPES))
+def test_peak_bytes_covers_measured_run_peak(name):
+    """The estimate covers the peak that tracemalloc measures while run and
+    run_until execute, on a network built beforehand, traces aside (the
+    blocks' columns and their concatenation, twice the trace's bytes)."""
+    spec = PEAK_SHAPES[name]
+    network = build_clustered_network(spec)
+    for driver in (run, run_until):
+        tracemalloc.start()
+        try:
+            result = driver(network, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace = getattr(result, "trace", result)
+        traces = 2 * sum(column.nbytes for column in trace.columns)
+        assert scenario._peak_bytes(spec) + traces >= peak, driver.__name__

@@ -297,23 +297,16 @@ def cmd_verify_bounds(args) -> int:
     return EXIT_OK if result.converged else EXIT_CAP
 
 
-def _int_list(text: str) -> list:
+def _parse_list(text: str, kind, noun: str) -> list:
+    """The comma-separated values of `text`, each converted by `kind`."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
-        raise ConfigError(f"expected a comma-separated integer list, "
+        raise ConfigError(f"expected a comma-separated {noun} list, "
                           f"got {text!r}") from e
 
 
-def _float_list(text: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise ConfigError(f"expected a comma-separated float list, "
-                          f"got {text!r}") from e
-
-
-def _emit_sweep(result: SweepResult, args, extra: dict | None = None) -> int:
+def _emit_sweep(result: SweepResult, args) -> int:
     if args.trace:
         sweep_csv(result, args.trace)
     if args.report:
@@ -324,15 +317,13 @@ def _emit_sweep(result: SweepResult, args, extra: dict | None = None) -> int:
                 "intercept": result.fit.intercept,
                 "r_squared": result.fit.r_squared,
             }
-        if extra:
-            data.update(extra)
         write_report(data, args.report)
     return EXIT_CAP if result.all_capped else EXIT_OK
 
 
 def cmd_sweep_tau(args) -> int:
     spec = _load_spec(args)
-    taus = _int_list(args.taus)
+    taus = _parse_list(args.taus, int, "integer")
     if not taus:
         raise ConfigError("--taus names no delays")
     return _emit_sweep(tau_sweep(spec, taus), args)
@@ -340,7 +331,7 @@ def cmd_sweep_tau(args) -> int:
 
 def cmd_rate_study(args) -> int:
     spec = _load_spec(args)
-    betas = _float_list(args.betas)
+    betas = _parse_list(args.betas, float, "float")
     if not betas:
         raise ConfigError("--betas names no step sizes")
     return _emit_sweep(rate_study(spec, betas), args)
@@ -348,7 +339,7 @@ def cmd_rate_study(args) -> int:
 
 def cmd_intra_delay(args) -> int:
     spec = _load_spec(args)
-    values = _int_list(args.tau_intra)
+    values = _parse_list(args.tau_intra, int, "integer")
     if not values:
         raise ConfigError("--tau-intra names no delays")
     return _emit_sweep(intra_delay_study(spec, values), args)

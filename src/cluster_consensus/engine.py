@@ -25,9 +25,9 @@ matrix, diagonal first, so that one reduction over the slots sums each row
 in the per-node order, and repeats it for every instance at the offset of
 its rows.  Its ids point into the window of the last iterations, as many
 as the longest delay of the batch plus one, so a delayed read is a fixed
-offset, the row's own delay back.  `_sweeps` runs a block of sweeps in one
-loop on the table's weights and steps broadcast to the full shape of the
-terms (`_sweep_operands`); each sweep gathers every term at once and
+offset, the row's own delay back, and its weights and steps come
+broadcast to the full shape of the terms.  `_sweeps` runs a block of sweeps
+in one loop on that table; each sweep gathers every term at once and
 writes the new states straight into the buffer slot of the next iteration.
 Every value equals the per-node accumulation bit for bit.
 
@@ -79,6 +79,12 @@ class StepSizes:
 BLOCK_ITERATIONS = 64
 BLOCK_BYTES = 2 << 20
 
+# Arrays as large as one instance's states over a diagnostics block that
+# evaluating the block holds at once: tracemalloc measures at most 4.0 on
+# the shapes of the tests (d from 1 to 10, 2 to 200 clusters), from the
+# per-row deviations, their squares and the norms of the error families.
+_DIAGNOSTICS_STACKS = 5
+
 
 def _block_length(rows: int, d: int, iterations: int | None = None) -> int:
     """Iterations per diagnostics block for a stack of `rows` nodes of
@@ -96,6 +102,35 @@ def _history_slots(reach: int, block: int) -> int:
     slot per sweep on average."""
     window = reach + 1
     return window + -(-window // block) * block
+
+
+def _held_bytes(nodes: int, d: int, width: int, reach: int, max_iters: int,
+                count: int) -> int:
+    """Bytes that the run driver holds at its peak for a batch of `count`
+    instances of a network of `nodes` rows (N_f + r) of dimension d, no row
+    with more than `width` neighbours, delays that reach back `reach`
+    iterations and runs of at most max_iters sweeps (see _drive).
+
+    The history buffer, with the blocks of a run or of a run_until,
+    whichever needs more slots, is charged twice for a batch of more than
+    one instance, because dropping the finished instances copies the others
+    into a fresh buffer while the old one is alive.  The sweeps hold the
+    sweep table, its ids and its weights (width + 2, M) and (width + 2, M, d)
+    and its steps (M, d), over the M rows of all instances; one gather as
+    large as the weights; the (M, d) accumulator; and the _ellpack table of
+    one instance.  Evaluating an instance's block holds _DIAGNOSTICS_STACKS
+    times its states over the longer of the blocks that the instance would
+    get alone, which no batch's blocks exceed.  Traces are not charged: a
+    run holds K x (3r + 2) x 8 bytes for K recorded iterations, and a batch
+    holds that for every instance until it ends."""
+    rows = nodes * count
+    caps = (None, max_iters + 1)
+    history = 8 * d * rows * max(
+        _history_slots(reach, _block_length(rows, d, cap)) for cap in caps)
+    sweeps = 8 * rows * ((1 + 2 * d) * (width + 2) + 2 * d) + 16 * nodes * (width + 1)
+    diagnostics = _DIAGNOSTICS_STACKS * 8 * d * nodes * max(
+        _block_length(nodes, d, cap) for cap in caps)
+    return min(count, 2) * history + sweeps + diagnostics
 
 
 class NetworkState:
@@ -147,7 +182,7 @@ class NetworkState:
                                  + rows.shape)
         self._slot = self._reach + 1            # the slot of iteration k
         self._history[:self._slot + 1] = rows
-        self._tables = None     # (network, steps, sweep table, sweep operands)
+        self._tables = None     # (network, steps, sweep table)
         self._band = None       # (network, _ellpack table of its matrices)
 
     def _set_delays(self, delays):
@@ -286,9 +321,9 @@ def _ellpack(blocks) -> tuple:
     rows, cols, values = [], [], []
     offset = 0
     for w in blocks:
-        off = w.copy()
-        np.fill_diagonal(off, 0.0)
-        i, j = np.nonzero(off)
+        i, j = np.nonzero(w)
+        off = i != j
+        i, j = i[off], j[off]
         rows.append(i + offset)
         cols.append(j + offset)
         values.append(w[i, j])
@@ -306,11 +341,12 @@ def _ellpack(blocks) -> tuple:
 
 
 def _sweep_table(network, state: NetworkState, steps) -> tuple:
-    """The table of every sweep of a run: ids (width + 2, M) into the
-    window of iterations k - reach .. k flattened to (reach + 1) * M rows,
-    M = B * (N_f + r) the rows of the state's B instances, weights
-    (width + 2, M, 1) and the step that scales each row's mixing sum,
-    (M, 1).  `steps` holds one StepSizes per instance, or is one StepSizes
+    """The table of every sweep of a run, as _sweeps runs on it: ids
+    (width + 2, M) into the window of iterations k - reach .. k flattened to
+    (reach + 1) * M rows, M = B * (N_f + r) the rows of the state's B
+    instances, weights (width + 2, M, d) and the step that scales each
+    row's mixing sum, (M, d), each row's value repeated over the d
+    columns.  `steps` holds one StepSizes per instance, or is one StepSizes
     for a state of one instance.
 
     Slots 0..width are the one _ellpack table of blockdiag(W_1 .. W_r, V),
@@ -347,26 +383,16 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
                        np.tile(own, count) + first + own_lag * m])
     track = per_row([(s.gamma, 1.0 - s.beta) for s in steps])[None, :, None]
     hold = per_row([(1.0 - s.gamma, s.beta) for s in steps])[:, None]
-    return index, np.concatenate([np.tile(weight, (count, 1)), track]), hold
+    weight = np.concatenate([np.tile(weight, (count, 1)), track])
+    d = state._history.shape[2]
+    return (index, np.broadcast_to(weight, weight.shape[:2] + (d,)).copy(),
+            np.broadcast_to(hold, (m, d)).copy())
 
 
-def _sweep_operands(table, d: int) -> tuple:
-    """The operands of _sweeps for (M, d) row states, from a sweep table:
-    its ids, its weights broadcast to (width + 2, M, d), its steps
-    broadcast to (M, d), and an (M, d) accumulator.  A multiply of two
-    operands of one shape is about twice as fast as one that broadcasts
-    over d, and the accumulator spares two allocations per sweep (see
-    _sweeps)."""
-    index, weight, hold = table
-    full = weight.shape[:2] + (d,)
-    return (index, np.broadcast_to(weight, full).copy(),
-            np.broadcast_to(hold, full[1:]).copy(), np.empty(full[1:]))
-
-
-def _sweeps(operands, history: np.ndarray, slot: int, window: int, count: int) -> int:
-    """Run `count` sweeps of a sweep table, as _sweep_operands gives it, on
-    a (slots, M, d) buffer whose `window` slots up to `slot` hold the
-    window that the table's ids point into, and return the slot of the last
+def _sweeps(table, history: np.ndarray, slot: int, window: int, count: int) -> int:
+    """Run `count` sweeps of a sweep table (see _sweep_table) on a
+    (slots, M, d) buffer whose `window` slots up to `slot` hold the window
+    that the table's ids point into, and return the slot of the last
     sweep.  A sweep writes, per row, hold * (the sum of every slot of the
     table but the last) + the last slot into the slot after the window,
     after copying the window to the front where the buffer is full.
@@ -380,11 +406,14 @@ def _sweeps(operands, history: np.ndarray, slot: int, window: int, count: int) -
     -0.0, so the padding never changes a sum.  (numpy would sum pairwise
     along the slots only for a stack of one or two values, and such a
     table has fewer than eight slots.)  The weights scale the gathered
-    terms in place, which spares a second stack as large as the gather.
-    The gather allocates its stack: np.take with `out` and bounds checks
-    buffers its result, which is slower.
+    terms in place, which spares a second stack as large as the gather, and
+    a multiply of two operands of one shape is about twice as fast as one
+    that broadcasts over d.  One accumulator serves every sweep of the
+    call.  The gather allocates its stack: np.take with `out` and bounds
+    checks buffers its result, which is slower.
     """
-    index, weight, hold, acc = operands
+    index, weight, hold = table
+    acc = np.empty(hold.shape)
     multiply, add, reduce = np.multiply, np.add, np.add.reduce
     flat = history.reshape(-1, history.shape[2])
     rows, end = history.shape[1], len(history)
@@ -408,17 +437,14 @@ def advance(network, state: NetworkState, steps, count: int = 1) -> NetworkState
     state (see _sweep_table).
 
     The first sweep with a given network and step sizes builds the sweep
-    table and its operands, which every later sweep reuses.  The window is
-    read whole before the new slot is written, which never lies inside it.
+    table, which every later sweep reuses.  The window is read whole before
+    the new slot is written, which never lies inside it.
     """
-    if count < 0:
-        raise DomainError(f"sweep count must be non-negative, got {count}")
+    count = _check_delay("sweep count", count)
     cached = state._tables
     if cached is None or cached[0] is not network or cached[1] is not steps:
-        table = _sweep_table(network, state, steps)
-        cached = state._tables = (network, steps, table,
-                                  _sweep_operands(table, state._history.shape[2]))
-    state._slot = _sweeps(cached[3], state._history, state._slot, state._reach + 1,
+        cached = state._tables = (network, steps, _sweep_table(network, state, steps))
+    state._slot = _sweeps(cached[2], state._history, state._slot, state._reach + 1,
                           count)
     state.k += count
     return state

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import isfinite
 from numbers import Integral, Real
 
-from .engine import _block_length, _history_slots
+from .engine import _held_bytes
 from .errors import ConfigError
 
 TOPOLOGY_FAMILIES = ("ring", "geometric", "explicit")
@@ -33,18 +33,12 @@ _REAL_FIELDS = ("gamma", "beta", "init_low", "init_high", "threshold")
 MAX_PEAK_BYTES = 2 << 30
 
 # Bytes per node pair of one cluster (or of the leaders) at the peak of
-# building, solving and running it: the Python edge sets, the dense weights,
-# the (n, n, 2) point differences of a geometric graph, the copies eigvalsh
-# works on and the neighbour table.  On 64-bit CPython 3.11, tracemalloc
-# measures about 157 on a complete geometric cluster of 1,000 followers and
-# about 50 on a sparse one.
+# building, solving and running it: the dense weights, the copies eigvalsh
+# works on, and for a geometric graph the two (n, n) coordinate differences,
+# the distance test and the pairs that pass it.  On 64-bit CPython 3.11,
+# tracemalloc measures about 113 on a complete geometric cluster of 1,000
+# followers and about 32 on a sparse one.
 _BYTES_PER_PAIR = 160
-
-# Arrays as large as one instance's states over a diagnostics block that
-# evaluating the block holds at once: tracemalloc measures at most 4.0 on
-# the shapes of the tests (d from 1 to 10, 2 to 200 clusters), from the
-# per-row deviations, their squares and the norms of the error families.
-_DIAGNOSTICS_STACKS = 5
 
 # Keys that earlier versions wrote, each with the test a value must pass to be
 # discarded: the one placement was "first", the stride snapshot interval
@@ -229,40 +223,18 @@ def _peak_bytes(*specs) -> int:
     """Estimated peak memory of building the network of specs[0] and
     running `specs`, which share it and d, as one batch (see engine._drive),
     in bytes: _BYTES_PER_PAIR for every node pair of each cluster and of
-    the leaders, the history buffer (slots x N x d x 8 bytes over the N
-    rows of all instances, as deep as the longest delay, see
-    engine._history_slots, with the blocks of a run or of a run_until,
-    whichever needs more slots) and what the sweeps hold: the sweep table,
-    ids and weights (width + 2, N) and the (N, 1) steps, width bounding
-    every row's degree; its operands, weights (width + 2, N, d) and steps
-    and an accumulator (N, d) each; one (width + 2, N, d) stack of gathered
-    terms; the _ellpack table of one instance; and the temporaries of
-    evaluating one instance's block, _DIAGNOSTICS_STACKS times its states
-    over the longer of the blocks that the instance would get alone, which
-    no batch's blocks exceed.  A batch of more than
-    one instance is charged a second buffer, because dropping the finished
-    instances copies the others into a fresh buffer while the old one is
-    alive.  Traces are not charged: a run holds K x (3r + 2) x 8 bytes for
-    K recorded iterations, and a batch holds that for every instance until
-    it ends."""
+    the leaders, and what the run driver holds (engine._held_bytes), with a
+    width that bounds every row's degree."""
     spec = specs[0]
     followers = [s - 1 for s in spec.cluster_sizes]
     r = len(followers)
-    nodes = sum(followers) + r
-    rows = nodes * len(specs)
     width = max(2 if spec.family == "ring" else max(followers) - 1,
                 min(2, r - 1) if spec.leader_graph == "line" else r - 1)
     pairs = sum(n * n for n in followers) + r * r
-    sweeps = (8 * rows * ((2 + 2 * spec.d) * (width + 2) + 1 + 2 * spec.d)
-              + 16 * nodes * (width + 1))
     reach = max(max(s.tau, s.tau_intra) for s in specs)
-    caps = (None, max(s.max_iters for s in specs) + 1)
-    history = 8 * spec.d * rows * max(
-        _history_slots(reach, _block_length(rows, spec.d, cap)) for cap in caps)
-    diagnostics = _DIAGNOSTICS_STACKS * 8 * spec.d * nodes * max(
-        _block_length(nodes, spec.d, cap) for cap in caps)
-    return (_BYTES_PER_PAIR * pairs + sweeps + min(len(specs), 2) * history
-            + diagnostics)
+    return _BYTES_PER_PAIR * pairs + _held_bytes(
+        sum(followers) + r, spec.d, width, reach, max(s.max_iters for s in specs),
+        len(specs))
 
 
 def _untuple(v):

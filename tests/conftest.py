@@ -65,8 +65,8 @@ def swept_bytes(monkeypatch):
     the first block of sweeps, and returns the bytes that the sweeps hold
     then, as _peak_bytes charges them: the buffer, twice for a batch of
     several instances (the old and the fresh one while instances are
-    dropped), the sweep table and its operands, the _ellpack table and one
-    stack of gathered terms."""
+    dropped), the sweep table, the _ellpack table, one stack of gathered
+    terms and the accumulator, as large as the table's steps."""
     sweep = engine.advance
 
     def stop(network, state, steps, count=1):
@@ -79,10 +79,9 @@ def swept_bytes(monkeypatch):
             with pytest.raises(_Swept) as swept:
                 engine._drive(network, specs, until)
         state = swept.value.args[0]
-        _, _, table, operands = state._tables
-        arrays = {id(a): a for a in (*table, *operands, *state._band[1])}
+        _, _, table = state._tables
         return (min(len(specs), 2) * state._history.nbytes
-                + sum(a.nbytes for a in arrays.values())
-                + table[0].size * 8 * state._history.shape[2])
+                + sum(a.nbytes for a in (*table, *state._band[1]))
+                + table[1].nbytes + table[2].nbytes)
 
     return measure

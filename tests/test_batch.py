@@ -198,8 +198,8 @@ def test_dropping_instances_keeps_their_windows(monkeypatch):
 
 def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch, swept_bytes):
     """The estimate for a batch covers the buffer twice (the old and the
-    fresh one while instances are dropped), the table, its operands and
-    one gather, with the blocks of a run and of a run_until; and, with the
+    fresh one while instances are dropped), the table, one gather and
+    the accumulator, with the blocks of a run and of a run_until; and, with the
     per-pair charge, the peak that tracemalloc measures while the batch
     runs, traces aside (twice their bytes, as in a run of one)."""
     for base in (tiny_base(d=3), ScenarioSpec(family="ring", cluster_sizes=(30,) * 4,

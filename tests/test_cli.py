@@ -479,6 +479,18 @@ def test_sweep_tau_rejects_empty_list(tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 3
 
 
+@pytest.mark.parametrize("command,option,kind", [
+    ("sweep-tau", "--taus", "integer"),
+    ("intra-delay", "--tau-intra", "integer"),
+    ("rate-study", "--betas", "float"),
+])
+def test_study_list_names_its_kind(tmp_path, capsys, command, option, kind):
+    config, _ = tiny_config(tmp_path)
+    assert main([command, "--config", str(config), option, "1,x",
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert f"expected a comma-separated {kind} list, got '1,x'" in capsys.readouterr().err
+
+
 def test_rate_study_artifacts(tmp_path):
     config, _ = tiny_config(tmp_path, max_iters=300)
     report_path = tmp_path / "rate.json"

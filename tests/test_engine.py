@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,10 +401,12 @@ def assert_gather_sum_matches(blocks, x, width):
     assert index.shape == (width + 1, n) and weight.shape == (width + 1, n, 1)
     rng = np.random.default_rng(n * x.shape[1] + width)
     hold, track = rng.uniform(0.05, 1.0, (2, n, 1))
-    table = (np.vstack([index, np.arange(n)]), np.concatenate([weight, track[None]]),
-             hold)
+    weight = np.concatenate([weight, track[None]])
+    table = (np.vstack([index, np.arange(n)]),
+             np.broadcast_to(weight, weight.shape[:2] + x.shape[1:]),
+             np.broadcast_to(hold, x.shape))
     history = np.stack([x, np.empty_like(x)])
-    assert engine._sweeps(engine._sweep_operands(table, x.shape[1]), history, 0, 1, 1) == 1
+    assert engine._sweeps(table, history, 0, 1, 1) == 1
     got = history[1]
     want = hold * reference_block_sum(blocks, x) + track * x
     assert got.tobytes() == want.tobytes()
@@ -610,7 +613,8 @@ def test_sweep_table_is_ellpack_of_block_diagonal(name):
     """Each row i of the sweep table is row i of blockdiag(W_1 .. W_r, V):
     slot 0 holds (i, A_ii), the next slots the non-zeros of the row in
     ascending order, the rest (i, 0.0), every id at the offset of the row's
-    delay into the window; the last slot is the tracking term."""
+    delay into the window; the last slot is the tracking term.  Weights
+    and steps repeat each row's value over the d columns of its state."""
     spec = SWEEP_TABLE_SPECS[name]
     network = build_clustered_network(spec)
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
@@ -626,7 +630,9 @@ def test_sweep_table_is_ellpack_of_block_diagonal(name):
     off_diagonal = a.copy()
     np.fill_diagonal(off_diagonal, 0.0)
     width = int(np.count_nonzero(off_diagonal, axis=1).max())
-    assert index.shape == (width + 2, n) and weight.shape == (width + 2, n, 1)
+    assert index.shape == (width + 2, n) and weight.shape == (width + 2, n, spec.d)
+    assert hold.shape == (n, spec.d)
+    assert (weight == weight[..., :1]).all() and (hold == hold[:, :1]).all()
     for i in range(n):
         ids = index[:-1, i] - (reach - delay[i]) * n
         w = weight[:-1, i, 0]
@@ -651,6 +657,38 @@ def test_sweep_many_clusters():
                         gamma=0.5, beta=0.05, tau=5, seed=3, max_iters=10)
     network = sweep_against_reference(spec, 4)
     assert follower_table(network)[0][0].tolist() == list(range(4000))
+
+
+def test_ellpack_allocates_less_than_a_dense_block():
+    """The ELLPACK build reads the non-zeros of each block where they lie:
+    on the clusters of 400 and 800 followers of a ring, it allocates less
+    than one dense follower block."""
+    spec = ScenarioSpec(family="ring", cluster_sizes=(401, 801), gamma=0.5,
+                        beta=0.05, tau=20, seed=23, max_iters=10)
+    network = build_clustered_network(spec)
+    blocks = ([c.follower_weights.entries for c in network.clusters]
+              + [network.leader_weights.entries])
+    tracemalloc.start()
+    try:
+        index, weight = engine._ellpack(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.shape == (3, 1202)
+    assert peak < min(w.nbytes for w in blocks[:-1])
+
+
+def test_advance_takes_a_non_negative_integer_count(tiny_spec):
+    """A count that is no integer fails as a negative one does, and an
+    integer of any kind advances k by its int value."""
+    network = build_clustered_network(tiny_spec)
+    state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau)
+    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    for count in (2.5, "3", None):
+        with pytest.raises(DomainError, match="sweep count"):
+            advance(network, state, sizes, count)
+    advance(network, state, sizes, np.int64(2))
+    assert state.k == 2 and type(state.k) is int
 
 
 def test_sweep_table_built_once_on_first_sweep(tiny_spec):

@@ -9,12 +9,8 @@ and checks trajectories against closed-form convergence envelopes.
 from .analysis import (
     BoundParams,
     BoundReport,
-    DiagnosticsRecord,
     bound_params,
-    diagnostics,
     envelopes,
-    eta,
-    max_stable_beta,
     verify_bounds,
 )
 from .engine import (
@@ -27,7 +23,6 @@ from .engine import (
     run,
     run_until,
     sample_initial_values,
-    stopping_metric,
 )
 from .errors import (
     ConfigError,
@@ -58,8 +53,10 @@ from .topology import (
     WeightMatrix,
     build_clustered_network,
     complete_graph,
+    eta,
     geometric_graph,
     line_graph,
+    max_stable_beta,
     metropolis_weights,
     ring_graph,
     second_largest_singular_value,
@@ -79,7 +76,6 @@ __all__ = [
     "ConsensusError",
     "ConsistencyError",
     "ConstructionError",
-    "DiagnosticsRecord",
     "DomainError",
     "LinearFit",
     "NetworkState",
@@ -98,7 +94,6 @@ __all__ = [
     "bound_params",
     "build_clustered_network",
     "complete_graph",
-    "diagnostics",
     "envelopes",
     "eta",
     "geometric_graph",
@@ -117,7 +112,6 @@ __all__ = [
     "sample_initial_values",
     "second_largest_singular_value",
     "spectral_summary",
-    "stopping_metric",
     "tau_sweep",
     "validate_weights",
     "verify_bounds",

@@ -1,10 +1,9 @@
-"""Error diagnostics and closed-form convergence bounds.
+"""Closed-form convergence bounds and their verification.
 
-Four error families describe a run: per-cluster follower disagreement
-(Frobenius distance of a follower block from its own average), leader
-disagreement, the per-cluster gap between follower average and leader, and
-per-node distance from the leader average.  Each family has a closed-form
-envelope:
+A run records four error families (see engine.Trace): per-cluster
+follower disagreement, leader disagreement, the per-cluster gap between
+follower average and leader, and per-node distance from the leader
+average.  Each family has a closed-form envelope:
 
     follower disagreement:  ((1 - gamma) * sigma_a)^k * ||X_a(0)||
     leader disagreement:    2 * eta^k * ||X_L(0)||
@@ -16,13 +15,9 @@ contracts exactly when beta < beta_max = 1 - delta_c^(1/tau); at beta_max
 the rate eta equals one.  Matrix norms are Frobenius, vector norms
 Euclidean.
 
-The families are evaluated for a block of iterations at once: segment
-sums and maxima over each cluster's rows (np.add.reduceat,
-np.maximum.reduceat) and sums over the state dimension, applied to a stack
-of follower and leader states, one layer per iteration.  The envelopes are
-evaluated as one table over all recorded iterations (`envelopes`).  A
-verification report keeps one summary per family plus only the
-comparisons that failed.
+The envelopes are evaluated as one table over all recorded iterations
+(`envelopes`).  A verification report keeps one summary per family plus
+only the comparisons that failed.
 """
 
 from __future__ import annotations
@@ -32,97 +27,14 @@ from numbers import Integral
 
 import numpy as np
 
+from .engine import sample_initial_values
 from .errors import ConsistencyError, DomainError
-from .topology import eta, max_stable_beta, spectral_summary  # noqa: F401
+from .topology import spectral_summary
 
 VERIFY_SLACK = 1e-9
 
 BOUND_FAMILIES = ("follower_disagreement", "leader_disagreement",
                   "leader_follower_gap", "node_error")
-
-
-# ---------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Error families at one iteration.
-
-    cluster_node_error[a] is the largest distance from a follower of
-    cluster a to the leader average; global_error extends that maximum over
-    the leaders as well.
-    """
-
-    k: int
-    follower_disagreement: tuple
-    leader_disagreement: float
-    leader_follower_gap: tuple
-    cluster_node_error: tuple
-    global_error: float
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every vector along the last axis, bit for
-    bit np.add.reduce(x * x, axis=-1).
-
-    numpy adds fewer than eight values left to right, so for d <= 7 the
-    d slices are added one after the other, which is several times faster
-    than numpy's reduction over a short last axis.  From eight values on,
-    numpy sums pairwise, so longer vectors keep the reduction.
-    """
-    squares = x * x
-    if x.shape[-1] > 7:
-        return np.add.reduce(squares, axis=-1)
-    total = squares[..., 0]
-    for i in range(1, x.shape[-1]):
-        total = total + squares[..., i]
-    return total
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every vector along the last axis, by the same
-    arithmetic as np.linalg.norm(x, axis=-1)."""
-    return np.sqrt(_squares(x))
-
-
-def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
-    """Every error family at each of n iterations at once.
-
-    followers is an (n, N_f, d) stack of the follower rows of n iterations,
-    cluster a occupying rows starts[a] up to starts[a + 1] and owner[i]
-    naming the cluster of row i; leaders is the matching (n, r, d) stack.
-    Returns the columns (follower disagreement, leader disagreement,
-    leader-follower gap, cluster node error, global error), shaped (n, r),
-    (n,), (n, r), (n, r) and (n,).  Per-cluster sums are segment
-    reductions over the row axis and norms reductions over d, so no value
-    depends on n or on the other iterations of the stack.
-    """
-    counts = np.diff(starts, append=followers.shape[1])[:, None]
-    avg = np.add.reduceat(followers, starts, axis=1) / counts
-    spread = _squares(followers - avg[:, owner])
-    follower_dis = np.sqrt(np.add.reduceat(spread, starts, axis=1))
-    gap = _row_norms(avg - leaders)
-    lead_avg = np.add.reduce(leaders, axis=1, keepdims=True) / leaders.shape[1]
-    node_err = np.maximum.reduceat(_row_norms(followers - lead_avg), starts, axis=1)
-    leader_sq = _squares(leaders - lead_avg)
-    leader_dis = np.sqrt(np.add.reduce(leader_sq, axis=1))
-    global_err = np.maximum(node_err.max(axis=1), np.sqrt(leader_sq.max(axis=1)))
-    return follower_dis, leader_dis, gap, node_err, global_err
-
-
-def diagnostics(state) -> DiagnosticsRecord:
-    """Compute all error families from a simulation state.
-
-    This is the block evaluation that the run driver applies to whole
-    blocks of iterations, here applied to the current iteration alone, so
-    it equals that iteration's row of a traced run bit for bit.
-    """
-    columns = _diagnostics_block(state.followers_at(0)[None], state.leaders_at(0)[None],
-                                 state.starts, state.owner)
-    follower, leader, gap, node, error = (c[0].tolist() for c in columns)
-    return DiagnosticsRecord(int(state.k), tuple(follower), leader, tuple(gap),
-                             tuple(node), error)
 
 
 # ---------------------------------------------------------------------
@@ -169,8 +81,6 @@ def bound_params(network, spec) -> BoundParams:
     Recomputes the seeded initial values, so the result matches the traces
     produced by the run drivers for the same spec.
     """
-    from .engine import sample_initial_values  # local import to avoid a cycle
-
     summary = spectral_summary(network, spec.tau)
     vals = sample_initial_values(spec, network.total_nodes)
     blocks = [vals[list(c.follower_ids)] for c in network.clusters]

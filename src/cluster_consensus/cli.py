@@ -68,9 +68,11 @@ def _fmt(x) -> str:
 
 def parse_config(path) -> ScenarioSpec:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise StorageError(f"cannot read configuration {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"configuration {path} is not UTF-8: {e}") from e
     return parse_config_text(text)
 
 

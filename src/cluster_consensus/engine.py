@@ -31,19 +31,27 @@ in one loop on that table; each sweep gathers every term at once and
 writes the new states straight into the buffer slot of the next iteration.
 Every value equals the per-node accumulation bit for bit.
 
+The run driver records four error families at every iteration, the
+columns of a `Trace` (defined there): follower disagreement per cluster,
+leader disagreement, the leader-follower gap per cluster and per-node
+error.  The analysis module bounds each family by a closed-form envelope.
+
 The run driver sweeps a block of iterations back to back, in one call of
 `advance`, and then evaluates the block at once, instance by instance,
 reading its states from the buffer (`NetworkState.block_states`): the
 stopping metric of every iteration in one reduction, and every error
-family, written into the columns of a `Trace`.  No Python object is built
-per iteration.  A run_until checks its stopping rule after each block of
-up to BLOCK_ITERATIONS; a run, which checks none, makes one block of the
-whole run (see _block_length).  An instance that has stopped leaves the
-batch at the end of its block.  The test suite checks the updates against
-the per-node form, the block-wise stopping rule against a check after
-every sweep, both against an independent dense matrix-form evaluation of
-the same equations, and every instance of a batch against its run of its
-own, byte for byte.
+family (`_diagnostics_block`) by segment sums and maxima over each
+cluster's rows (np.add.reduceat, np.maximum.reduceat) and sums over the
+state dimension, applied to the stack of the block's states, one layer
+per iteration.  No Python object is built per iteration.  A run_until
+checks its stopping rule after each block of up to BLOCK_ITERATIONS; a
+run, which checks none, makes one block of the whole run (see
+_block_length).  An instance that has stopped leaves the batch at the end
+of its block.  The test suite checks the updates against the per-node
+form, the block-wise stopping rule against a check after every sweep,
+both against an independent dense matrix-form evaluation of the same
+equations, and every instance of a batch against its run of its own, byte
+for byte.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _diagnostics_block, _row_norms
 from .errors import DomainError, NumericError, ShapeError
 from .topology import _check_delay
 
@@ -246,9 +253,14 @@ class Trace:
     """Error families of one run, one column per family; row k of every
     column is iteration k, from 0.
 
-    follower_disagreement, leader_follower_gap and cluster_node_error have
-    shape (K, r), leader_disagreement and global_error shape (K,); the
-    families are those of `DiagnosticsRecord`.
+    follower_disagreement[k, a] is the Frobenius distance of cluster a's
+    follower block from its own average, leader_disagreement[k] that of the
+    leaders from the leader average, and leader_follower_gap[k, a] the
+    distance from cluster a's follower average to its leader.
+    cluster_node_error[k, a] is the largest distance from a follower of
+    cluster a to the leader average; global_error[k] extends that maximum
+    over the leaders as well.  Distances between vectors are Euclidean.
+    Columns indexed by a have shape (K, r), the others shape (K,).
     """
 
     fingerprint: str
@@ -263,7 +275,7 @@ class Trace:
 
     @property
     def columns(self) -> tuple:
-        """The five family columns, in DiagnosticsRecord field order."""
+        """The five family columns, in field order."""
         return (self.follower_disagreement, self.leader_disagreement,
                 self.leader_follower_gap, self.cluster_node_error, self.global_error)
 
@@ -451,14 +463,68 @@ def advance(network, state: NetworkState, steps, count: int = 1) -> NetworkState
 
 
 # ---------------------------------------------------------------------
-# run driver
+# error families
 # ---------------------------------------------------------------------
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every vector along the last axis, bit for
+    bit np.add.reduce(x * x, axis=-1).
+
+    numpy adds fewer than eight values left to right, so for d <= 7 the
+    d slices are added one after the other, which is several times faster
+    than numpy's reduction over a short last axis.  From eight values on,
+    numpy sums pairwise, so longer vectors keep the reduction.
+    """
+    squares = x * x
+    if x.shape[-1] > 7:
+        return np.add.reduce(squares, axis=-1)
+    total = squares[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + squares[..., i]
+    return total
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every vector along the last axis, by the same
+    arithmetic as np.linalg.norm(x, axis=-1)."""
+    return np.sqrt(_squares(x))
+
+
+def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
+    """Every error family at each of n iterations at once.
+
+    followers is an (n, N_f, d) stack of the follower rows of n iterations,
+    cluster a occupying rows starts[a] up to starts[a + 1] and owner[i]
+    naming the cluster of row i; leaders is the matching (n, r, d) stack.
+    Returns the columns (follower disagreement, leader disagreement,
+    leader-follower gap, cluster node error, global error), shaped (n, r),
+    (n,), (n, r), (n, r) and (n,).  Per-cluster sums are segment
+    reductions over the row axis and norms reductions over d, so no value
+    depends on n or on the other iterations of the stack.
+    """
+    counts = np.diff(starts, append=followers.shape[1])[:, None]
+    avg = np.add.reduceat(followers, starts, axis=1) / counts
+    spread = _squares(followers - avg[:, owner])
+    follower_dis = np.sqrt(np.add.reduceat(spread, starts, axis=1))
+    gap = _row_norms(avg - leaders)
+    lead_avg = np.add.reduce(leaders, axis=1, keepdims=True) / leaders.shape[1]
+    node_err = np.maximum.reduceat(_row_norms(followers - lead_avg), starts, axis=1)
+    leader_sq = _squares(leaders - lead_avg)
+    leader_dis = np.sqrt(np.add.reduce(leader_sq, axis=1))
+    global_err = np.maximum(node_err.max(axis=1), np.sqrt(leader_sq.max(axis=1)))
+    return follower_dis, leader_dis, gap, node_err, global_err
+
+
 def _stopping_block(followers, leaders, owner) -> np.ndarray:
-    """Stopping metric of each of n iterations, from their (n, N_f, d)
-    follower and (n, r, d) leader stacks."""
+    """Stopping metric of each of n iterations, the largest distance from
+    any follower to its own leader, from their (n, N_f, d) follower and
+    (n, r, d) leader stacks."""
     return _row_norms(followers - leaders.take(owner, axis=1)).max(axis=1)
 
+
+# ---------------------------------------------------------------------
+# run driver
+# ---------------------------------------------------------------------
 
 def _drive(network, specs, until: bool) -> list:
     """Run `specs`, which share `network` and d, as one batch: record
@@ -542,13 +608,6 @@ def run(network, spec) -> Trace:
     return _drive(network, [spec], until=False)[0].trace
 
 
-def stopping_metric(state: NetworkState) -> float:
-    """Largest distance from any follower to its own leader: the block
-    evaluation of the run driver, applied to the current iteration alone."""
-    return float(_stopping_block(state.followers_at(0)[None],
-                                 state.leaders_at(0)[None], state.owner)[0])
-
-
 def run_until(network, spec) -> RunResult:
     """Run until every follower stays within spec.threshold of its leader.
 
@@ -562,8 +621,8 @@ def run_until(network, spec) -> RunResult:
     reported through converged=False, not as an error.
 
     The rule is checked once per diagnostics block (see _drive), on the
-    same per-iteration values as stopping_metric, so the outcome and the
-    trace equal those of a check after every sweep; the sweeps the driver
+    metric of every iteration of the block, so the outcome and the trace
+    equal those of a check after every sweep; the sweeps the driver
     runs past the stop, to the end of its block, are not visible.
     """
     return _drive(network, [spec], until=True)[0]

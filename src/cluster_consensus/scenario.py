@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from math import isfinite
 from numbers import Integral, Real
@@ -56,7 +57,10 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool)
+    """A number that converts to a float: no bool, and no integer beyond
+    the float range."""
+    return (isinstance(v, Real) and not isinstance(v, bool)
+            and not (isinstance(v, Integral) and abs(v) > sys.float_info.max))
 
 
 def _is_edge_list(edges) -> bool:
@@ -127,7 +131,8 @@ class ScenarioSpec:
                                  f"follower, got {sizes}")
         for name in _REAL_FIELDS + (() if self.radius is None else ("radius",)):
             if not _is_real(getattr(self, name)):
-                bad(name, f"must be a number, got {getattr(self, name)!r}")
+                bad(name, f"must be a number within the float range, "
+                          f"got {getattr(self, name)!r}")
         for name in _INT_FIELDS:
             value, least = getattr(self, name), 1 if name == "d" else 0
             if not (_is_int(value) and value >= least):
@@ -136,7 +141,7 @@ class ScenarioSpec:
             bad("gamma", f"must lie in (0, 1), got {self.gamma}")
         if not (0.0 < self.beta <= 1.0):
             bad("beta", f"must lie in (0, 1], got {self.beta}")
-        low, high = self.init_low, self.init_high
+        low, high = float(self.init_low), float(self.init_high)
         if not (low < high and isfinite(high - low)):
             bad("init_low/init_high", f"need init_low < init_high a finite distance "
                                       f"apart, got [{low}, {high}]")
@@ -167,6 +172,14 @@ class ScenarioSpec:
             raise ConfigError(f"scenario too large: a run is estimated to need "
                               f"{peak / 2**30:.3g} GiB at its peak, above the "
                               f"limit of {MAX_PEAK_BYTES / 2**30:g} GiB")
+        # Every sum of squares that the diagnostics and the bound parameters
+        # take is at most m * m * total_nodes * d, since every state stays in
+        # the interval; d and the sizes are bounded by now.
+        m = max(abs(low), abs(high), high - low)
+        if not isfinite(m * m * self.total_nodes * self.d):
+            bad("init_low/init_high", f"squared norms of {self.total_nodes} nodes of "
+                                      f"dimension {self.d} with values in [{low}, "
+                                      f"{high}] overflow a float")
 
     # -- derived ------------------------------------------------------
 
@@ -244,7 +257,8 @@ def _untuple(v):
 def parse_config_text(text: str) -> ScenarioSpec:
     """Parse a JSON configuration document into a validated spec.
 
-    Malformed JSON is reported with its line and column; unknown keys and
+    Malformed JSON is reported with its line and column, and JSON nested
+    deeper than the parser can recurse as too deep; unknown keys and
     out-of-range values raise ConfigError naming the offender.
     """
     try:
@@ -253,4 +267,6 @@ def parse_config_text(text: str) -> ScenarioSpec:
         raise ConfigError(
             f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise ConfigError(f"JSON nests too deeply: {e}") from e
     return ScenarioSpec.from_dict(data)

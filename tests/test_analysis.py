@@ -22,7 +22,7 @@ from cluster_consensus import (
     sample_initial_values,
     verify_bounds,
 )
-from cluster_consensus.analysis import _squares
+from cluster_consensus.engine import _squares
 
 DELTA_LINE3 = 2 / 3    # three leaders on a line under max-degree weights
 

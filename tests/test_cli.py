@@ -536,6 +536,20 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + "{}".encode("utf-16-le"),
+    b"[" * 200000,
+    json.dumps(dict(preset_small().to_dict(), init_low=-1e200,
+                    init_high=1e200)).encode(),
+], ids=["not_utf8", "nested_too_deeply", "squares_overflow"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+    config = tmp_path / "bad.json"
+    config.write_bytes(content)
+    assert main(["run", "--config", str(config), "--with-bounds",
+                 "--trace", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_unknown_key_is_config_error(tmp_path, capsys):
     config, spec = tiny_config(tmp_path)
     data = spec.to_dict()

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracle
 from cluster_consensus import (
-    DiagnosticsRecord,
     DomainError,
     NumericError,
     ScenarioSpec,
@@ -16,7 +16,6 @@ from cluster_consensus import (
     StepSizes,
     advance,
     build_clustered_network,
-    diagnostics,
     init_state,
     preset_large,
     preset_small,
@@ -24,7 +23,6 @@ from cluster_consensus import (
     run_until,
     sample_initial_values,
     spectral_summary,
-    stopping_metric,
 )
 from cluster_consensus import engine
 
@@ -238,6 +236,21 @@ def reference_leader_step(state, beta, weights):
 FAMILIES = ("follower_disagreement", "leader_disagreement", "leader_follower_gap",
             "cluster_node_error", "global_error")
 
+# The error families at one iteration k.
+Record = namedtuple("Record", ("k",) + FAMILIES)
+
+
+def one_iteration(state):
+    """The error families and the stopping metric of the state's current
+    iteration: the run driver's block evaluations on a block of that one
+    iteration, so they equal its row of a traced run bit for bit."""
+    followers, leaders = state.followers_at(0)[None], state.leaders_at(0)[None]
+    columns = engine._diagnostics_block(followers, leaders, state.starts, state.owner)
+    follower, leader, gap, node, error = (c[0].tolist() for c in columns)
+    record = Record(int(state.k), tuple(follower), leader, tuple(gap), tuple(node), error)
+    metric = float(engine._stopping_block(followers, leaders, state.owner)[0])
+    return record, metric
+
 
 def reference_diagnostics(state):
     """The error families computed cluster by cluster with mean and
@@ -255,7 +268,7 @@ def reference_diagnostics(state):
         node_err.append(float(np.linalg.norm(block - lead_avg, axis=1).max()))
     leader_dis = float(np.linalg.norm(leaders - lead_avg))
     leader_err = float(np.linalg.norm(leaders - lead_avg, axis=1).max())
-    return DiagnosticsRecord(
+    return Record(
         k=int(state.k),
         follower_disagreement=tuple(follower_dis),
         leader_disagreement=leader_dis,
@@ -293,8 +306,9 @@ def assert_sweep_matches_reference(network, state, sizes):
         assert got.tobytes() == want.tobytes(), f"cluster {a}"
     want = reference_leader_step(state, sizes.beta, network.leader_weights)
     assert new.leaders_at(0).tobytes() == want.tobytes(), "leaders"
-    assert_records_close(diagnostics(state), reference_diagnostics(state), 1e-13)
-    assert repr(stopping_metric(state)) == repr(reference_stopping_metric(state))
+    record, metric = one_iteration(state)
+    assert_records_close(record, reference_diagnostics(state), 1e-13)
+    assert repr(metric) == repr(reference_stopping_metric(state))
 
 
 @st.composite
@@ -349,13 +363,13 @@ def test_updates_match_per_node_reference(family, d, tau_intra, data):
     for k, want in enumerate(ref):
         got = global_state(network, state)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), f"step {k}"
-        stepped.append(diagnostics(state))
+        stepped.append(one_iteration(state)[0])
         if k == spec.max_iters:
             break
         assert_sweep_matches_reference(network, state, sizes)
         advance(network, state, sizes)
 
-    # diagnostics of one state is the traced row of its iteration, bit for bit
+    # the families of one state are the traced row of its iteration, bit for bit
     trace = run(network, spec)
     for name, column in zip(FAMILIES, trace.columns):
         want = np.array([getattr(rec, name) for rec in stepped])
@@ -809,10 +823,10 @@ def test_stopping_metric_matches_reference(tiny_spec, tiny_network):
     init = sample_initial_values(tiny_spec, 12)
     state = init_state(tiny_network, init, tiny_spec.tau)
     want = oracle.worst_follower_leader_distance(tiny_network, init)
-    assert stopping_metric(state) == pytest.approx(want, abs=1e-12)
+    assert one_iteration(state)[1] == pytest.approx(want, abs=1e-12)
     sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
     for _ in range(20):
-        assert stopping_metric(state) == reference_stopping_metric(state)
+        assert one_iteration(state)[1] == reference_stopping_metric(state)
         advance(tiny_network, state, sizes)
 
 
@@ -886,8 +900,8 @@ class SettlingRule:
 
 
 def per_sweep_run_until(network, spec):
-    """run_until with the rule checked by stopping_metric after every sweep
-    and the diagnostics taken one iteration at a time.  Returns
+    """run_until with the rule checked on the stopping metric after every
+    sweep and the diagnostics taken one iteration at a time.  Returns
     (converged, iterations), the five columns and the rule."""
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
                        spec.tau, spec.tau_intra)
@@ -895,8 +909,9 @@ def per_sweep_run_until(network, spec):
     rule = SettlingRule(spec.threshold, max(spec.tau, spec.tau_intra) + 1)
     records = []
     while True:
-        records.append(diagnostics(state))
-        if rule.confirmed(state.k, stopping_metric(state)):
+        record, metric = one_iteration(state)
+        records.append(record)
+        if rule.confirmed(state.k, metric):
             outcome = (True, rule.candidate)
             break
         if state.k >= spec.max_iters:
@@ -908,14 +923,14 @@ def per_sweep_run_until(network, spec):
 
 
 def metric_sequence(network, spec):
-    """stopping_metric at iterations 0..spec.max_iters."""
+    """The stopping metric at iterations 0..spec.max_iters."""
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
                        spec.tau, spec.tau_intra)
     sizes = StepSizes(spec.gamma, spec.beta)
-    out = [stopping_metric(state)]
+    out = [one_iteration(state)[1]]
     for _ in range(spec.max_iters):
         advance(network, state, sizes)
-        out.append(stopping_metric(state))
+        out.append(one_iteration(state)[1])
     return out
 
 

@@ -35,3 +35,46 @@ def test_export_list_names_every_public_attribute():
     public = {name for name, value in vars(cluster_consensus).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(cluster_consensus.__all__) == sorted(public)
+
+
+# Each package module imports only modules earlier in this order, so no
+# two modules import each other.
+LAYERS = ("errors", "topology", "engine", "analysis", "scenario", "experiments",
+          "__init__", "cli", "__main__")
+
+
+def imported_modules(node) -> list:
+    """The package modules that an import statement imports; a name taken
+    from the package itself (`from . import __version__`) counts as an
+    import of __init__."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names
+                  if alias.name.split(".")[0] == "cluster_consensus"]
+    elif node.level == 0:
+        if node.module.split(".")[0] != "cluster_consensus":
+            return []
+        dotted = [node.module]
+    elif node.module:
+        dotted = ["cluster_consensus." + node.module]
+    else:
+        return [alias.name if alias.name in LAYERS else "__init__"
+                for alias in node.names]
+    return [(name.split(".") + ["__init__"])[1] for name in dotted]
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(cluster_consensus.__file__).parent
+    assert sorted(path.stem for path in package.glob("*.py")) == sorted(LAYERS)
+    wrong = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        rank = LAYERS.index(path.stem)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if node not in tree.body:
+                wrong.append(f"{path.name}:{node.lineno}: import inside a block")
+            wrong += [f"{path.name}:{node.lineno}: imports {name}"
+                      for name in imported_modules(node)
+                      if LAYERS.index(name) >= rank]
+    assert not wrong, wrong

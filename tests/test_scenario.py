@@ -2,11 +2,13 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cluster_consensus import (
     ConfigError,
     ScenarioSpec,
+    bound_params,
     build_clustered_network,
     parse_config_text,
     preset_large,
@@ -66,6 +68,8 @@ def test_cluster_sizes_become_tuple():
     ("seed", 1.0),
     ("cluster_edges", ([(0, "a")], [(0, 1)])),
     ("leader_edges", [(0, 1.5)]),
+    pytest.param("init_high", 10**400, id="init_high-int-beyond-float"),
+    pytest.param("threshold", 10**400, id="threshold-int-beyond-float"),
 ])
 def test_rejects_bad_field(field, value):
     with pytest.raises(ConfigError) as err:
@@ -89,6 +93,29 @@ def test_init_range_ordering():
         make_spec(init_low=2.0, init_high=-2.0)
     with pytest.raises(ConfigError):        # the width overflows to inf
         make_spec(init_low=-1e308, init_high=1e308)
+    with pytest.raises(ConfigError):        # the width overflows as an integer
+        make_spec(init_low=-int(1e308), init_high=int(1e308))
+
+
+def test_init_interval_whose_squared_norms_overflow_is_refused():
+    """No sum of squares that the diagnostics and bound_params take exceeds
+    m * m * total_nodes * d, m = max(|init_low|, |init_high|, init_high -
+    init_low), so an interval that makes that overflow is refused."""
+    with pytest.raises(ConfigError, match="overflow"):
+        make_spec(init_low=-1e200, init_high=1e200)
+
+
+@pytest.mark.parametrize("preset", [preset_small, preset_large])
+def test_init_interval_of_1e150_keeps_families_finite(preset):
+    """Both preset shapes accept a +-1e150 interval, and a run's error
+    families and bound parameters stay finite (a RuntimeWarning fails the
+    suite)."""
+    spec = preset().replace(init_low=-1e150, init_high=1e150, max_iters=20)
+    network = build_clustered_network(spec)
+    assert all(np.isfinite(column).all() for column in run(network, spec).columns)
+    params = bound_params(network, spec)
+    assert np.isfinite([params.p_max, params.leader_init_norm,
+                        *params.follower_init_norms, *params.initial_gaps]).all()
 
 
 def test_round_trip_through_json():

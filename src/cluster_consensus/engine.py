@@ -25,16 +25,20 @@ matrix, diagonal first, so that one reduction over the slots sums each row
 in the per-node order, and repeats it for every instance at the offset of
 its rows.  Its ids point into the window of the last iterations, as many
 as the longest delay of the batch plus one, so a delayed read is a fixed
-offset, the row's own delay back, and its weights and steps come
-broadcast to the full shape of the terms.  `_sweeps` runs a block of sweeps
-in one loop on that table; each sweep gathers every term at once and
-writes the new states straight into the buffer slot of the next iteration.
-Every value equals the per-node accumulation bit for bit.
+offset, the row's own delay back, and are range-checked once, when the
+table is built; its weights and steps come broadcast to the full shape of
+the terms.  `_sweeps` runs a block of sweeps in one loop on that table;
+each sweep gathers every term at once into one stack allocated per call
+and writes the new states straight into the buffer slot of the next
+iteration.  Every value equals the per-node accumulation bit for bit.
 
 The run driver records four error families at every iteration, the
 columns of a `Trace` (defined there): follower disagreement per cluster,
 leader disagreement, the leader-follower gap per cluster and per-node
 error.  The analysis module bounds each family by a closed-form envelope.
+`run`, `run_until` and the rate study record them all; the other
+parameter studies record only the columns their rows read, follower
+disagreement or none (see _drive).
 
 The run driver sweeps a block of iterations back to back, in one call of
 `advance`, and then evaluates the block at once, instance by instance,
@@ -43,7 +47,8 @@ stopping metric of every iteration in one reduction, and every error
 family (`_diagnostics_block`) by segment sums and maxima over each
 cluster's rows (np.add.reduceat, np.maximum.reduceat) and sums over the
 state dimension, applied to the stack of the block's states, one layer
-per iteration.  No Python object is built per iteration.  A run_until
+per iteration.  A largest distance takes one sqrt, of the largest
+squared distance.  No Python object is built per iteration.  A run_until
 checks its stopping rule after each block of up to BLOCK_ITERATIONS; a
 run, which checks none, makes one block of the whole run (see
 _block_length).  An instance that has stopped leaves the batch at the end
@@ -282,11 +287,13 @@ class Trace:
 
 @dataclass
 class RunResult:
-    """Outcome of run_until: converged tells cap exhaustion apart from success."""
+    """Outcome of run_until: converged tells cap exhaustion apart from success.
+    trace is the run's Trace, or the columns that a parameter study's
+    evaluator records (see _drive)."""
 
     converged: bool
     iterations: int
-    trace: Trace
+    trace: Trace | tuple
 
 
 # ---------------------------------------------------------------------
@@ -368,10 +375,17 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
     gamma times the own leader read tau_intra iterations ago for a
     follower and 1 - beta times the own current state for a leader.
 
-    The _ellpack table depends on the network alone, so the state keeps it
-    for the next table, which dropping instances calls for (see
-    NetworkState._keep).
+    The sweeps gather without bounds checks (see _sweeps), so the table is
+    checked here, once: the network must have the cluster sizes the state
+    was laid out for, and every id must lie in the window.  The _ellpack
+    table depends on the network alone, so the state keeps it for the next
+    table, which dropping instances calls for (see NetworkState._keep).
     """
+    sizes = [len(c.follower_ids) for c in network.clusters]
+    laid_out = np.diff(state.starts, append=state._split).tolist()
+    if sizes != laid_out:
+        raise ShapeError(f"a network of clusters with {sizes} followers cannot "
+                         f"advance a state laid out for {laid_out}")
     if isinstance(steps, StepSizes):
         steps = (steps,)
     if state._band is None or state._band[0] is not network:
@@ -393,6 +407,9 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
     own_lag = state._reach - per_row([(tau_intra, 0) for _, tau_intra in state.delays])
     index = np.vstack([np.tile(index, count) + first + lag * m,
                        np.tile(own, count) + first + own_lag * m])
+    if index.min() < 0 or index.max() >= (state._reach + 1) * m:
+        raise ShapeError(f"sweep table reads outside the window of "
+                         f"{state._reach + 1} iterations of {m} rows")
     track = per_row([(s.gamma, 1.0 - s.beta) for s in steps])[None, :, None]
     hold = per_row([(1.0 - s.gamma, s.beta) for s in steps])[:, None]
     weight = np.concatenate([np.tile(weight, (count, 1)), track])
@@ -418,13 +435,20 @@ def _sweeps(table, history: np.ndarray, slot: int, window: int, count: int) -> i
     -0.0, so the padding never changes a sum.  (numpy would sum pairwise
     along the slots only for a stack of one or two values, and such a
     table has fewer than eight slots.)  The weights scale the gathered
-    terms in place, which spares a second stack as large as the gather, and
-    a multiply of two operands of one shape is about twice as fast as one
-    that broadcasts over d.  One accumulator serves every sweep of the
-    call.  The gather allocates its stack: np.take with `out` and bounds
-    checks buffers its result, which is slower.
+    terms in place, and a multiply of two operands of one shape is about
+    twice as fast as one that broadcasts over d.
+
+    Every sweep gathers into one stack of terms, and one accumulator
+    serves every sweep, both allocated once per call, so no sweep
+    allocates.  Taking into `out` buffers the result in take's default
+    mode, which checks every id on every sweep; mode="clip" writes
+    straight into the stack.  Clipping never acts: _sweep_table checks
+    once that every id lies in the window, and the window always holds
+    (reach + 1) * M rows of the buffer, M and reach those the table was
+    built for.
     """
     index, weight, hold = table
+    terms = np.empty(weight.shape)
     acc = np.empty(hold.shape)
     multiply, add, reduce = np.multiply, np.add, np.add.reduce
     flat = history.reshape(-1, history.shape[2])
@@ -434,7 +458,7 @@ def _sweeps(table, history: np.ndarray, slot: int, window: int, count: int) -> i
         if slot == end:
             history[:window] = history[slot - window:]
             slot = window
-        terms = flat[(slot - window) * rows:slot * rows].take(index, axis=0)
+        flat[(slot - window) * rows:slot * rows].take(index, 0, terms, "clip")
         multiply(weight, terms, out=terms)
         reduce(terms[:-1], axis=0, initial=-0.0, out=acc)
         multiply(hold, acc, out=acc)
@@ -449,8 +473,10 @@ def advance(network, state: NetworkState, steps, count: int = 1) -> NetworkState
     state (see _sweep_table).
 
     The first sweep with a given network and step sizes builds the sweep
-    table, which every later sweep reuses.  The window is read whole before
-    the new slot is written, which never lies inside it.
+    table, which every later sweep reuses; a network whose cluster sizes
+    differ from the state's is refused then, with ShapeError.  The window
+    is read whole before the new slot is written, which never lies inside
+    it.
     """
     count = _check_delay("sweep count", count)
     cached = state._tables
@@ -484,10 +510,14 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every vector along the last axis, by the same
-    arithmetic as np.linalg.norm(x, axis=-1)."""
-    return np.sqrt(_squares(x))
+def _follower_disagreement(followers, starts, owner) -> tuple:
+    """The follower averages of each cluster, (n, r, d), and the follower
+    disagreement, (n, r), at each of n iterations, from an (n, N_f, d)
+    stack laid out as in _diagnostics_block."""
+    counts = np.diff(starts, append=followers.shape[1])[:, None]
+    avg = np.add.reduceat(followers, starts, axis=1) / counts
+    spread = _squares(followers - avg[:, owner])
+    return avg, np.sqrt(np.add.reduceat(spread, starts, axis=1))
 
 
 def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
@@ -500,15 +530,16 @@ def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
     leader-follower gap, cluster node error, global error), shaped (n, r),
     (n,), (n, r), (n, r) and (n,).  Per-cluster sums are segment
     reductions over the row axis and norms reductions over d, so no value
-    depends on n or on the other iterations of the stack.
+    depends on n or on the other iterations of the stack.  A largest
+    distance is the sqrt of the largest squared distance: sqrt is monotone
+    and correctly rounded, so that equals the largest of the distances bit
+    for bit, with one sqrt per cluster in place of one per row.
     """
-    counts = np.diff(starts, append=followers.shape[1])[:, None]
-    avg = np.add.reduceat(followers, starts, axis=1) / counts
-    spread = _squares(followers - avg[:, owner])
-    follower_dis = np.sqrt(np.add.reduceat(spread, starts, axis=1))
-    gap = _row_norms(avg - leaders)
+    avg, follower_dis = _follower_disagreement(followers, starts, owner)
+    gap = np.sqrt(_squares(avg - leaders))
     lead_avg = np.add.reduce(leaders, axis=1, keepdims=True) / leaders.shape[1]
-    node_err = np.maximum.reduceat(_row_norms(followers - lead_avg), starts, axis=1)
+    node_err = np.sqrt(np.maximum.reduceat(_squares(followers - lead_avg), starts,
+                                           axis=1))
     leader_sq = _squares(leaders - lead_avg)
     leader_dis = np.sqrt(np.add.reduce(leader_sq, axis=1))
     global_err = np.maximum(node_err.max(axis=1), np.sqrt(leader_sq.max(axis=1)))
@@ -518,19 +549,28 @@ def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
 def _stopping_block(followers, leaders, owner) -> np.ndarray:
     """Stopping metric of each of n iterations, the largest distance from
     any follower to its own leader, from their (n, N_f, d) follower and
-    (n, r, d) leader stacks."""
-    return _row_norms(followers - leaders.take(owner, axis=1)).max(axis=1)
+    (n, r, d) leader stacks: one sqrt per iteration, of the largest squared
+    distance (see _diagnostics_block)."""
+    return np.sqrt(_squares(followers - leaders.take(owner, axis=1)).max(axis=1))
 
 
 # ---------------------------------------------------------------------
 # run driver
 # ---------------------------------------------------------------------
 
-def _drive(network, specs, until: bool) -> list:
+def _drive(network, specs, until: bool, evaluate=None) -> list:
     """Run `specs`, which share `network` and d, as one batch: record
     diagnostics of each at every iteration from 0 and sweep until its
     max_iters; with `until`, stop at a confirmed settling iteration (see
     run_until).  Returns one RunResult per spec, in order.
+
+    `evaluate(followers, leaders, starts, owner)` maps the (n, N_f, d) and
+    (n, r, d) stacks of a block (see _diagnostics_block) to the tuple of
+    columns to record, one row per iteration.  Without it the driver
+    records every error family, by _diagnostics_block, and each result
+    holds a Trace; with it each result holds the tuple of its columns over
+    the run.  A parameter study passes one that returns only the columns
+    its rows read, or none.
 
     The instances are the stacked rows of one state, so one sweep advances
     them all.  The sweeps of a block of state.block iterations run back to
@@ -541,14 +581,15 @@ def _drive(network, specs, until: bool) -> list:
     driver evaluates the block instance by instance: with `until`, the
     stopping metric of every iteration in one reduction, scanned for the
     confirmation window (a candidate carries over from block to block);
-    then every error family, cut at the iteration where the instance's run
-    ends.  An instance that ends inside a block has swept up to the
-    block's end, at most state.block - 1 iterations more than it records,
-    and leaves the batch at that block boundary: the rows of the others
-    move to a fresh buffer.  The results hold no state, so the extra
-    sweeps change nothing that the caller sees, and each instance's
-    columns equal those of a run of its own.
+    then the columns, cut at the iteration where the instance's run ends.
+    An instance that ends inside a block has swept up to the block's end,
+    at most state.block - 1 iterations more than it records, and leaves
+    the batch at that block boundary: the rows of the others move to a
+    fresh buffer.  The results hold no state, so the extra sweeps change
+    nothing that the caller sees, and each instance's columns equal those
+    of a run of its own.
     """
+    record = _diagnostics_block if evaluate is None else evaluate
     state = NetworkState(network, [sample_initial_values(s, network.total_nodes)
                                    for s in specs],
                          [(s.tau, s.tau_intra) for s in specs],
@@ -586,13 +627,13 @@ def _drive(network, specs, until: bool) -> list:
             if outcome is None and last == spec.max_iters:
                 outcome = (False, spec.max_iters)
             n = last - first + 1
-            blocks[b].append(_diagnostics_block(followers[:n], leaders[:n],
-                                                state.starts, state.owner))
+            blocks[b].append(record(followers[:n], leaders[:n], state.starts,
+                                    state.owner))
             if outcome is None:
                 keep.append(member)
                 continue
-            trace = Trace(spec.fingerprint(),
-                          *(np.concatenate(c) for c in zip(*blocks[b])))
+            columns = tuple(np.concatenate(c) for c in zip(*blocks[b]))
+            trace = Trace(spec.fingerprint(), *columns) if evaluate is None else columns
             results[b], blocks[b] = RunResult(*outcome, trace), None
         if not keep:
             return results

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scenario
 from .analysis import bound_params, verify_bounds
-from .engine import _drive
+from .engine import _drive, _follower_disagreement
 from .errors import DomainError
 from .scenario import ScenarioSpec
 from .topology import _check_delay, build_clustered_network, spectral_summary
@@ -90,14 +90,15 @@ def _linear_fit(xs, ys) -> LinearFit | None:
     return LinearFit(float(slope), float(intercept), r2)
 
 
-def _run_rows(network, specs, until: bool, row) -> list:
+def _run_rows(network, specs, until: bool, row, evaluate=None) -> list:
     """One row per spec of a study, in order: row(spec, result) of the
-    spec's RunResult.  Each distinct spec runs once, and equal specs get
-    copies of its row.  The distinct specs run in consecutive batches
-    through the engine's batch driver, each batch as long as its estimated
-    peak memory stays within MAX_PEAK_BYTES, and a batch's results become
-    rows before the next batch runs, so the traces of one batch at a time
-    are alive."""
+    spec's RunResult, whose trace holds the columns that `evaluate`
+    records (see engine._drive), every error family without it.  Each
+    distinct spec runs once, and equal specs get copies of its row.  The
+    distinct specs run in consecutive batches through the engine's batch
+    driver, each batch as long as its estimated peak memory stays within
+    MAX_PEAK_BYTES, and a batch's results become rows before the next
+    batch runs, so the traces of one batch at a time are alive."""
     batches = []
     for spec in dict.fromkeys(specs):
         if not batches or (scenario._peak_bytes(*batches[-1], spec)
@@ -107,9 +108,21 @@ def _run_rows(network, specs, until: bool, row) -> list:
     rows = {}
     for batch in batches:
         # A generator, so that no loop variable keeps a result alive.
-        rows.update((spec, row(spec, result))
-                    for spec, result in zip(batch, _drive(network, batch, until)))
+        rows.update((spec, row(spec, result)) for spec, result
+                    in zip(batch, _drive(network, batch, until, evaluate)))
     return [dict(rows[spec]) for spec in specs]
+
+
+def _no_columns(followers, leaders, starts, owner) -> tuple:
+    """Records no error family: a tau_sweep row reads only whether and when
+    its run settled."""
+    return ()
+
+
+def _follower_column(followers, leaders, starts, owner) -> tuple:
+    """Records follower disagreement alone, the one family that an
+    intra_delay_study row reads."""
+    return (_follower_disagreement(followers, starts, owner)[1],)
 
 
 def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
@@ -133,7 +146,7 @@ def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:
             "beta_max": summary.beta_max,
         }
 
-    rows = _run_rows(network, specs, True, row)
+    rows = _run_rows(network, specs, True, row, _no_columns)
     done = [r for r in rows if r["converged"]]
     line = _linear_fit([r["tau"] for r in done], [r["iterations"] for r in done])
     return SweepResult("tau", rows, line)
@@ -187,7 +200,8 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
              sorted(_check_delay("tau_intra", t) for t in tau_intra_values)]
 
     def row(spec, result):
-        below = result.trace.follower_disagreement.max(axis=1) <= spec.threshold
+        follower_dis, = result.trace
+        below = follower_dis.max(axis=1) <= spec.threshold
         follower_iter = int(below.argmax()) if below.any() else None
         ratio = None
         if result.converged and follower_iter is not None:
@@ -201,4 +215,5 @@ def intra_delay_study(base: ScenarioSpec, tau_intra_values) -> SweepResult:
             "admissible": admissible,
         }
 
-    return SweepResult("tau_intra", _run_rows(network, specs, True, row))
+    return SweepResult("tau_intra", _run_rows(network, specs, True, row,
+                                              _follower_column))

@@ -234,12 +234,61 @@ def spy_batches(monkeypatch):
     batches = []
     drive = engine._drive
 
-    def recording(network, specs, until):
+    def recording(network, specs, until, evaluate=None):
         batches.append(list(specs))
-        return drive(network, specs, until)
+        return drive(network, specs, until, evaluate)
 
     monkeypatch.setattr(experiments, "_drive", recording)
     return batches
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls in the
+    returned list's one entry."""
+    calls, function = [0], getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_tau_sweep_records_no_family(monkeypatch):
+    """A tau_sweep row reads whether and when its run settled, so the
+    study never evaluates the error families; run_until does."""
+    diagnostics = count_calls(monkeypatch, engine, "_diagnostics_block")
+    run_until(build_clustered_network(preset_small()), preset_small())
+    assert diagnostics[0] > 0
+    diagnostics[0] = 0
+    rows = tau_sweep(preset_small(), [0, 10]).rows
+    assert [row["iterations"] for row in rows] == [118, 174]
+    assert diagnostics == [0]
+
+
+def test_intra_delay_study_records_follower_disagreement_alone(monkeypatch):
+    """An intra_delay_study row reads follower disagreement alone, so the
+    study evaluates only that family."""
+    diagnostics = count_calls(monkeypatch, engine, "_diagnostics_block")
+    followers = count_calls(monkeypatch, experiments, "_follower_disagreement")
+    intra_delay_study(INTRA_DELAY_BASE.replace(max_iters=400), [0, 2, 15])
+    assert diagnostics == [0] and followers[0] > 0
+
+
+def test_intra_delay_follower_column_equals_diagnostics():
+    """The one column that intra_delay_study records is byte-equal to the
+    first column of every error family, with the same outcomes."""
+    base = INTRA_DELAY_BASE.replace(max_iters=700)
+    network = build_clustered_network(base)
+    specs = [base.replace(tau_intra=t) for t in (0, 2, 15)]
+    full = engine._drive(network, specs, True)
+    alone = engine._drive(network, specs, True, experiments._follower_column)
+    for a, b in zip(alone, full):
+        assert (a.converged, a.iterations) == (b.converged, b.iterations)
+        column, = a.trace
+        assert column.tobytes() == b.trace.follower_disagreement.tobytes()
+    assert [r.converged for r in full] == [True, False, False]
 
 
 def test_repeated_study_value_runs_once(monkeypatch):
@@ -278,11 +327,12 @@ def test_study_releases_each_batch_before_the_next(monkeypatch):
     base, values = INTRA_DELAY_BASE.replace(max_iters=400), [0, 2, 15]
     drive, alive = engine._drive, []
 
-    def recording(network, specs, until):
+    def recording(network, specs, until, evaluate=None):
         gc.collect()
         alive.append(sum(ref() is not None for ref in refs))
-        results = drive(network, specs, until)
-        refs.extend(weakref.ref(result.trace) for result in results)
+        results = drive(network, specs, until, evaluate)
+        refs.extend(weakref.ref(column)
+                    for result in results for column in result.trace)
         return results
 
     refs = []

@@ -722,6 +722,101 @@ def test_sweep_table_built_once_on_first_sweep(tiny_spec):
     assert state.k == 2 and state._tables is table
 
 
+@pytest.mark.parametrize("sizes", [(20, 20, 21), (21, 20, 20), (21, 20, 19)],
+                         ids=["last-larger", "first-larger", "same-total"])
+def test_advance_refuses_network_of_other_cluster_sizes(sizes):
+    """A state of preset_small (clusters of 20) advances only on a network
+    with its cluster sizes: another layout fails with ShapeError before any
+    sweep, also when the node count is the same, and one with the same
+    sizes is accepted."""
+    spec = preset_small()
+    network = build_clustered_network(spec)
+    state = init_state(network, sample_initial_values(spec, network.total_nodes),
+                       spec.tau)
+    sizes_step = StepSizes(spec.gamma, spec.beta)
+    other = build_clustered_network(spec.replace(cluster_sizes=sizes))
+    before = state._history.copy()
+    with pytest.raises(ShapeError, match="cannot advance a state laid out for"):
+        advance(other, state, sizes_step)
+    assert state.k == 0 and state._history.tobytes() == before.tobytes()
+    same = build_clustered_network(spec.replace(seed=spec.seed + 1))
+    assert advance(same, state, sizes_step, 3).k == 3
+
+
+@pytest.mark.parametrize("bad_id", [10**9, -10**9])
+def test_sweep_table_refuses_an_id_outside_the_window(monkeypatch, tiny_spec,
+                                                      tiny_network, bad_id):
+    """The ids are range-checked when the table is built, since the sweeps
+    gather with mode="clip"."""
+    ellpack = engine._ellpack
+
+    def corrupt(blocks):
+        index, weight = ellpack(blocks)
+        index[0, 0] = bad_id
+        return index, weight
+
+    state = init_state(tiny_network, sample_initial_values(tiny_spec, 12),
+                       tiny_spec.tau)
+    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_ellpack", corrupt)
+        with pytest.raises(ShapeError, match="outside the window"):
+            advance(tiny_network, state, sizes)
+    assert state.k == 0
+    state._band = None
+    assert advance(tiny_network, state, sizes).k == 1
+
+
+def families_one_sqrt_per_row(followers, leaders, starts, owner):
+    """The error families and the stopping metric with a sqrt per row
+    before every maximum, the formulas that _diagnostics_block and
+    _stopping_block replace with a sqrt of the largest square."""
+    def norms(x):
+        return np.sqrt(engine._squares(x))
+
+    counts = np.diff(starts, append=followers.shape[1])[:, None]
+    avg = np.add.reduceat(followers, starts, axis=1) / counts
+    spread = engine._squares(followers - avg[:, owner])
+    follower_dis = np.sqrt(np.add.reduceat(spread, starts, axis=1))
+    gap = norms(avg - leaders)
+    lead_avg = np.add.reduce(leaders, axis=1, keepdims=True) / leaders.shape[1]
+    node_err = np.maximum.reduceat(norms(followers - lead_avg), starts, axis=1)
+    leader_sq = engine._squares(leaders - lead_avg)
+    leader_dis = np.sqrt(np.add.reduce(leader_sq, axis=1))
+    global_err = np.maximum(node_err.max(axis=1), np.sqrt(leader_sq.max(axis=1)))
+    metric = norms(followers - leaders.take(owner, axis=1)).max(axis=1)
+    return follower_dis, leader_dis, gap, node_err, global_err, metric
+
+
+# Values whose squares are +0.0, subnormal, zero by underflow or infinite.
+EXTREMES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e300, -1e300])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(d=st.integers(1, 10), r=st.integers(1, 200), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.2, 1.0]))
+def test_block_evaluation_takes_sqrt_of_largest_square(d, r, n, seed, share):
+    """Taking the maximum of squared distances before the sqrt gives the
+    bytes of a sqrt per row: on up to 200 clusters of 1 to 4 followers,
+    d from 1 to 10, and values spread from 1e-300 to 1e300 with a share of
+    -0.0, subnormals and 1e300 in them."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, r)
+    starts = np.cumsum(np.concatenate([[0], sizes[:-1]]))
+    owner = np.repeat(np.arange(r), sizes)
+    x = (rng.choice([-1.0, 1.0], (n, sizes.sum() + r, d))
+         * 10.0 ** rng.uniform(-300, 300, (n, sizes.sum() + r, d)))
+    special = rng.random(x.shape) < share
+    x[special] = rng.choice(EXTREMES, special.sum())
+    followers, leaders = x[:, :sizes.sum()], x[:, sizes.sum():]
+    with np.errstate(all="ignore"):
+        want = families_one_sqrt_per_row(followers, leaders, starts, owner)
+        got = (*engine._diagnostics_block(followers, leaders, starts, owner),
+               engine._stopping_block(followers, leaders, owner))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------
 # conserved quantities
 # ---------------------------------------------------------------------

@@ -10,6 +10,10 @@ States are d-dimensional row vectors, all followers stacked cluster by
 cluster and then all leaders, and one buffer keeps the recent iterations
 of that stack in consecutive slots, as deep as the longest delay.
 
+A state owns its run: its network and each instance's delays and step
+sizes are fixed when it is built, and `advance(state, count)` takes
+nothing else.
+
 A batch is several instances of one network with the same d, each with
 its own delays, step sizes, initial values and stopping rule.  Their
 stacks sit one after the other in the buffer, instance-major: instance b
@@ -18,7 +22,7 @@ the stack of a single run.  `run` and `run_until` are batches of one; the
 parameter studies run their rows as one batch.
 
 A sweep costs five numpy calls, whatever the delays, the degrees, the
-number of clusters and the number of instances.  Each run builds one sweep
+number of clusters and the number of instances.  Each state builds one sweep
 table (`_sweep_table`) from one ELLPACK build (`_ellpack`) of the
 block-diagonal matrix of all follower matrices and the leader exchange
 matrix, diagonal first, so that one reduction over the slots sums each row
@@ -148,11 +152,13 @@ def _held_bytes(nodes: int, d: int, width: int, reach: int, max_iters: int,
 class NetworkState:
     """Mutable simulation state at some iteration k, with its history.
 
-    A state holds one or more instances of one network, which share d and
-    each have their own delays: delays[b] is the (tau, tau_intra) pair of
-    instance b, and tau and tau_intra are the longest of each over the
-    instances.  init_state builds a state of one instance; the run driver
-    stacks several (see _drive).
+    A state holds one or more instances of `network`, which share d and
+    each have their own delays and step sizes: delays[b] is the (tau,
+    tau_intra) pair of instance b and steps[b] its StepSizes, and tau and
+    tau_intra are the longest delays over the instances.  The network and
+    the step sizes are fixed when the state is built; only dropping
+    instances (_keep) changes which ones the state holds.  init_state builds
+    a state of one instance; the run driver stacks several (see _drive).
 
     One buffer of shape (length, B * (N_f + r), d) holds the history, one
     slot per iteration.  Each slot is instance-major: instance b owns rows
@@ -175,30 +181,33 @@ class NetworkState:
     first row of cluster a, the same in every instance.
     """
 
-    def __init__(self, network, values, delays, iterations=None):
+    def __init__(self, network, values, delays, steps, iterations=None):
         """One instance per (N, d) array of initial values in `values`, row
-        i the node of global id i, with the delays of the same position;
-        `iterations` sets the block length (see _block_length)."""
+        i the node of global id i, with the delays and the StepSizes of the
+        same position; `iterations` sets the block length (see
+        _block_length)."""
         sizes = [len(c.follower_ids) for c in network.clusters]
         order = ([i for c in network.clusters for i in c.follower_ids]
                  + [c.leader_id for c in network.clusters])
         rows = np.concatenate([v[order] for v in values])
+        self.network = network
         self.k = 0
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
         self.starts = np.cumsum([0] + sizes[:-1])
         self._split = sum(sizes)
         self._rows = len(order)                 # N_f + r
-        self._set_delays(delays)
+        self._set_instances(delays, steps)
         self.block = _block_length(*rows.shape, iterations)
         self._history = np.empty((_history_slots(self._reach, self.block),)
                                  + rows.shape)
         self._slot = self._reach + 1            # the slot of iteration k
         self._history[:self._slot + 1] = rows
-        self._tables = None     # (network, steps, sweep table)
-        self._band = None       # (network, _ellpack table of its matrices)
+        self._table = None      # the sweep table, built on the first sweep
+        self._band = None       # the _ellpack table of the network's matrices
 
-    def _set_delays(self, delays):
+    def _set_instances(self, delays, steps):
         self.delays = tuple((int(tau), int(tau_intra)) for tau, tau_intra in delays)
+        self.steps = tuple(steps)
         self.tau = max(tau for tau, _ in self.delays)
         self.tau_intra = max(tau_intra for _, tau_intra in self.delays)
         self._reach = max(self.tau, self.tau_intra)
@@ -231,14 +240,15 @@ class NetworkState:
 
     def _keep(self, members) -> None:
         """Keep only the instances at positions `members`, in ascending
-        order: a fresh buffer, as deep as their longest delay, takes their
-        window, and the next sweep builds their sweep table from the kept
-        _ellpack table (see _sweep_table).  k must end a
-        block, so that the next iteration starts one right after the
-        window, as after init."""
-        self._tables = None
+        order, with their delays and step sizes: a fresh buffer, as deep as
+        their longest delay, takes their window, and the next sweep builds
+        their sweep table from the kept _ellpack table (see _sweep_table).
+        k must end a block, so that the next iteration starts one right
+        after the window, as after init."""
+        self._table = None
         old, last, width = self._history, self._slot + 1, self._rows
-        self._set_delays([self.delays[b] for b in members])
+        self._set_instances([self.delays[b] for b in members],
+                            [self.steps[b] for b in members])
         window = self._reach + 1
         self._history = np.empty((_history_slots(self._reach, self.block),
                                   len(members) * width, old.shape[2]))
@@ -307,8 +317,10 @@ def sample_initial_values(spec, total_nodes: int) -> np.ndarray:
     return rng.uniform(spec.init_low, spec.init_high, size=(total_nodes, spec.d))
 
 
-def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> NetworkState:
-    """Distribute per-node initial values into the history buffer."""
+def init_state(network, initial_values, tau: int, tau_intra: int = 0, *,
+               steps: StepSizes) -> NetworkState:
+    """A state of one run on `network` with step sizes `steps`: the
+    per-node initial values distributed into the history buffer."""
     vals = np.asarray(initial_values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -320,7 +332,7 @@ def init_state(network, initial_values, tau: int, tau_intra: int = 0) -> Network
     if not np.all(np.isfinite(vals)):
         raise NumericError("initial values contain non-finite entries")
     tau, tau_intra = _check_delay("tau", tau), _check_delay("tau_intra", tau_intra)
-    return NetworkState(network, [vals], [(tau, tau_intra)])
+    return NetworkState(network, [vals], [(tau, tau_intra)], [steps])
 
 
 # ---------------------------------------------------------------------
@@ -359,14 +371,13 @@ def _ellpack(blocks) -> tuple:
     return index, weight
 
 
-def _sweep_table(network, state: NetworkState, steps) -> tuple:
-    """The table of every sweep of a run, as _sweeps runs on it: ids
-    (width + 2, M) into the window of iterations k - reach .. k flattened to
-    (reach + 1) * M rows, M = B * (N_f + r) the rows of the state's B
-    instances, weights (width + 2, M, d) and the step that scales each
-    row's mixing sum, (M, d), each row's value repeated over the d
-    columns.  `steps` holds one StepSizes per instance, or is one StepSizes
-    for a state of one instance.
+def _sweep_table(state: NetworkState) -> tuple:
+    """The table of every sweep of the state's run, as _sweeps runs on it:
+    ids (width + 2, M) into the window of iterations k - reach .. k
+    flattened to (reach + 1) * M rows, M = B * (N_f + r) the rows of the
+    state's B instances, weights (width + 2, M, d) and the step that scales
+    each row's mixing sum, (M, d), each row's value repeated over the d
+    columns.
 
     Slots 0..width are the one _ellpack table of blockdiag(W_1 .. W_r, V),
     repeated for every instance at the offset of its rows, and read
@@ -375,24 +386,16 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
     gamma times the own leader read tau_intra iterations ago for a
     follower and 1 - beta times the own current state for a leader.
 
-    The sweeps gather without bounds checks (see _sweeps), so the table is
-    checked here, once: the network must have the cluster sizes the state
-    was laid out for, and every id must lie in the window.  The _ellpack
-    table depends on the network alone, so the state keeps it for the next
-    table, which dropping instances calls for (see NetworkState._keep).
+    The sweeps gather without bounds checks (see _sweeps), so every id is
+    checked here, once, to lie in the window.  The _ellpack table depends
+    on the network alone, so the state keeps it for the next table, which
+    dropping instances calls for (see NetworkState._keep).
     """
-    sizes = [len(c.follower_ids) for c in network.clusters]
-    laid_out = np.diff(state.starts, append=state._split).tolist()
-    if sizes != laid_out:
-        raise ShapeError(f"a network of clusters with {sizes} followers cannot "
-                         f"advance a state laid out for {laid_out}")
-    if isinstance(steps, StepSizes):
-        steps = (steps,)
-    if state._band is None or state._band[0] is not network:
-        state._band = (network, _ellpack([c.follower_weights.entries
-                                          for c in network.clusters]
-                                         + [network.leader_weights.entries]))
-    index, weight = state._band[1]
+    if state._band is None:
+        network = state.network
+        state._band = _ellpack([c.follower_weights.entries for c in network.clusters]
+                               + [network.leader_weights.entries])
+    index, weight = state._band
     split, width, count = state._split, state._rows, len(state.delays)
     m = width * count
 
@@ -410,8 +413,8 @@ def _sweep_table(network, state: NetworkState, steps) -> tuple:
     if index.min() < 0 or index.max() >= (state._reach + 1) * m:
         raise ShapeError(f"sweep table reads outside the window of "
                          f"{state._reach + 1} iterations of {m} rows")
-    track = per_row([(s.gamma, 1.0 - s.beta) for s in steps])[None, :, None]
-    hold = per_row([(1.0 - s.gamma, s.beta) for s in steps])[:, None]
+    track = per_row([(s.gamma, 1.0 - s.beta) for s in state.steps])[None, :, None]
+    hold = per_row([(1.0 - s.gamma, s.beta) for s in state.steps])[:, None]
     weight = np.concatenate([np.tile(weight, (count, 1)), track])
     d = state._history.shape[2]
     return (index, np.broadcast_to(weight, weight.shape[:2] + (d,)).copy(),
@@ -466,23 +469,20 @@ def _sweeps(table, history: np.ndarray, slot: int, window: int, count: int) -> i
     return slot
 
 
-def advance(network, state: NetworkState, steps, count: int = 1) -> NetworkState:
-    """`count` synchronous sweeps: every row updates from pre-step values,
-    and the new states of iteration k + 1 go straight into its buffer slot
-    (see _sweeps).  `steps` is a StepSizes, or one per instance of the
-    state (see _sweep_table).
+def advance(state: NetworkState, count: int = 1) -> NetworkState:
+    """`count` synchronous sweeps of the state's network, with its step
+    sizes: every row updates from pre-step values, and the new states of
+    iteration k + 1 go straight into its buffer slot (see _sweeps).
 
-    The first sweep with a given network and step sizes builds the sweep
-    table, which every later sweep reuses; a network whose cluster sizes
-    differ from the state's is refused then, with ShapeError.  The window
-    is read whole before the new slot is written, which never lies inside
-    it.
+    The state's first sweep builds the sweep table, which every later sweep
+    reuses until the state drops instances (see NetworkState._keep).  The
+    window is read whole before the new slot is written, which never lies
+    inside it.
     """
     count = _check_delay("sweep count", count)
-    cached = state._tables
-    if cached is None or cached[0] is not network or cached[1] is not steps:
-        cached = state._tables = (network, steps, _sweep_table(network, state, steps))
-    state._slot = _sweeps(cached[2], state._history, state._slot, state._reach + 1,
+    if state._table is None:
+        state._table = _sweep_table(state)
+    state._slot = _sweeps(state._table, state._history, state._slot, state._reach + 1,
                           count)
     state.k += count
     return state
@@ -593,9 +593,9 @@ def _drive(network, specs, until: bool, evaluate=None) -> list:
     state = NetworkState(network, [sample_initial_values(s, network.total_nodes)
                                    for s in specs],
                          [(s.tau, s.tau_intra) for s in specs],
+                         [StepSizes(s.gamma, s.beta) for s in specs],
                          None if until else max(s.max_iters for s in specs) + 1)
     live = list(range(len(specs)))      # the spec of each instance of the state
-    steps = tuple(StepSizes(s.gamma, s.beta) for s in specs)
     blocks = [[] for _ in specs]
     candidates = [None] * len(specs)
     results = [None] * len(specs)
@@ -603,7 +603,7 @@ def _drive(network, specs, until: bool, evaluate=None) -> list:
     while True:
         end = min(first + state.block - 1, max(specs[b].max_iters for b in live))
         if state.k < end:
-            advance(network, state, steps, end - state.k)
+            advance(state, end - state.k)
         keep = []
         for member, b in enumerate(live):
             spec, candidate = specs[b], candidates[b]
@@ -640,7 +640,6 @@ def _drive(network, specs, until: bool, evaluate=None) -> list:
         if len(keep) < len(live):
             state._keep(keep)
             live = [live[member] for member in keep]
-            steps = tuple(steps[member] for member in keep)
         first = end + 1
 
 

@@ -430,8 +430,6 @@ def build_clustered_network(spec) -> "ClusteredNetwork":
     offset = 0
     for a, size in enumerate(spec.cluster_sizes):
         followers = size - 1
-        if followers < 1:
-            raise ConstructionError(f"cluster {a} has no followers (size {size})")
         if spec.family == "ring":
             if followers < 3:
                 raise ConstructionError(

@@ -69,8 +69,8 @@ def swept_bytes(monkeypatch):
     terms and the accumulator, as large as the table's steps."""
     sweep = engine.advance
 
-    def stop(network, state, steps, count=1):
-        sweep(network, state, steps, count)
+    def stop(state, count=1):
+        sweep(state, count)
         raise _Swept(state)
 
     def measure(network, specs, until):
@@ -79,9 +79,9 @@ def swept_bytes(monkeypatch):
             with pytest.raises(_Swept) as swept:
                 engine._drive(network, specs, until)
         state = swept.value.args[0]
-        _, _, table = state._tables
+        table = state._table
         return (min(len(specs), 2) * state._history.nbytes
-                + sum(a.nbytes for a in (*table, *state._band[1]))
+                + sum(a.nbytes for a in (*table, *state._band))
                 + table[1].nbytes + table[2].nbytes)
 
     return measure

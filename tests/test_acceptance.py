@@ -90,9 +90,9 @@ def test_criterion_01_runs_in_one_block(monkeypatch):
     networks = [build_clustered_network(spec) for spec in specs]
     sweep, block_length, counts = engine.advance, engine._block_length, []
 
-    def counting(network, state, steps, count=1):
+    def counting(state, count=1):
         counts.append(count)
-        return sweep(network, state, steps, count)
+        return sweep(state, count)
 
     def columns():
         counts.clear()
@@ -161,12 +161,12 @@ def test_criterion_03_engine_equivalence():
         spec = ScenarioSpec(seed=40 + index, max_iters=100, **kw)
         network = build_clustered_network(spec)
         init = sample_initial_values(spec, network.total_nodes)
-        state = init_state(network, init, spec.tau, spec.tau_intra)
-        sizes = StepSizes(spec.gamma, spec.beta)
+        state = init_state(network, init, spec.tau, spec.tau_intra,
+                           steps=StepSizes(spec.gamma, spec.beta))
         ref = oracle.simulate_dense(network, init, spec.gamma, spec.beta,
                                    spec.tau, spec.tau_intra, steps=100)
         for k in range(1, 101):
-            advance(network, state, sizes)
+            advance(state)
             assert np.allclose(_global(network, state), ref[k],
                                atol=1e-12), (index, k)
 
@@ -180,14 +180,14 @@ def test_criterion_04_average_conservation():
         spec = random_admissible_instance(rng, index)
         network = build_clustered_network(spec)
         init = sample_initial_values(spec, network.total_nodes)
-        state = init_state(network, init, spec.tau, spec.tau_intra)
-        sizes = StepSizes(spec.gamma, spec.beta)
+        state = init_state(network, init, spec.tau, spec.tau_intra,
+                           steps=StepSizes(spec.gamma, spec.beta))
         fmeans = [_follower_means(state)]
         lmeans = [state.leaders_at(0).mean(axis=0)]
         leaders = [state.leaders_at(0).copy()]
         steps = 500 if index == 0 else 60
         for _ in range(steps):
-            advance(network, state, sizes)
+            advance(state)
             fmeans.append(_follower_means(state))
             lmeans.append(state.leaders_at(0).mean(axis=0))
             leaders.append(state.leaders_at(0).copy())

@@ -148,11 +148,12 @@ def test_advance_count_equals_single_sweeps(delays, d, block, counts):
     steps = tuple(StepSizes(0.3 + 0.2 * b, 0.1 + 0.3 * b) for b in range(len(delays)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_ITERATIONS", block)
-        many, single = (engine.NetworkState(network, values, delays) for _ in range(2))
+        many, single = (engine.NetworkState(network, values, delays, steps)
+                        for _ in range(2))
     for count in counts + [len(many._history)]:
-        advance(network, many, steps, count)
+        advance(many, count)
         for _ in range(count):
-            advance(network, single, steps)
+            advance(single)
         assert (many.k, many._slot) == (single.k, single._slot)
         assert (many._history[:many._slot + 1].tobytes()
                 == single._history[:single._slot + 1].tobytes())
@@ -169,15 +170,16 @@ def test_dropping_instances_keeps_their_windows(monkeypatch):
     delays = [(3, 1), (7, 0), (2, 5)]
     values = [sample_initial_values(base.replace(seed=s), network.total_nodes)
               for s in range(3)]
-    state = engine.NetworkState(network, values, delays)
     steps = tuple(StepSizes(0.3 + 0.1 * b, 0.2) for b in range(3))
+    state = engine.NetworkState(network, values, delays, steps)
     while state.k < 11:
-        advance(network, state, steps)
+        advance(state)
     width = state._rows
     before = {b: state._history[state._slot - 5:state._slot + 1,
                                 b * width:(b + 1) * width].copy() for b in (0, 2)}
     state._keep([0, 2])
     assert state.delays == ((3, 1), (2, 5)) and (state.tau, state.tau_intra) == (3, 5)
+    assert state.steps == (steps[0], steps[2]) and state._table is None
     assert len(state._history) == engine._history_slots(5, 4)
     for to, b in enumerate((0, 2)):
         assert (state._history[state._slot - 5:state._slot + 1,
@@ -185,8 +187,8 @@ def test_dropping_instances_keeps_their_windows(monkeypatch):
                 == before[b].tobytes())
     band = state._band
     monkeypatch.setattr(engine, "_ellpack", None)
-    advance(network, state, steps[::2])
-    assert state._band is band and state._tables is not None
+    advance(state)
+    assert state._band is band and state._table is not None
     split = width - len(network.clusters)
     now = state._history[state._slot]
     for to in range(2):
@@ -194,6 +196,36 @@ def test_dropping_instances_keeps_their_windows(monkeypatch):
         assert followers.shape == (1, split, 2) and leaders.shape == (1, width - split, 2)
         assert followers.tobytes() == now[to * width:to * width + split].tobytes()
         assert leaders.tobytes() == now[to * width + split:(to + 1) * width].tobytes()
+
+
+def test_sweep_table_built_once_per_set_of_instances(monkeypatch):
+    """500 sweeps of one advance call each build the sweep table once;
+    dropping an instance builds it once more, on the next sweep, and never
+    again after that."""
+    base = tiny_base(d=2)
+    network = build_clustered_network(base)
+    values = [sample_initial_values(base.replace(seed=s), network.total_nodes)
+              for s in range(2)]
+    state = engine.NetworkState(network, values, [(3, 1), (7, 0)],
+                                [StepSizes(0.3, 0.2), StepSizes(0.4, 0.1)])
+    built = []
+    build = engine._sweep_table
+
+    def counted(state):
+        built.append(state.k)
+        return build(state)
+
+    monkeypatch.setattr(engine, "_sweep_table", counted)
+    for _ in range(500):
+        advance(state)
+    assert built == [0]
+    advance(state, -(state.k + 1) % state.block)      # k ends a block
+    kept_at = state.k
+    state._keep([1])
+    assert built == [0]
+    for _ in range(500):
+        advance(state)
+    assert built == [0, kept_at]
 
 
 def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch, swept_bytes):

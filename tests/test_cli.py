@@ -479,6 +479,17 @@ def test_sweep_tau_rejects_empty_list(tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 3
 
 
+@pytest.mark.parametrize("command,option,message", [
+    ("rate-study", "--betas", "--betas names no step sizes"),
+    ("intra-delay", "--tau-intra", "--tau-intra names no delays"),
+])
+def test_study_rejects_empty_list(tmp_path, capsys, command, option, message):
+    config, _ = tiny_config(tmp_path)
+    assert main([command, "--config", str(config), option, ",",
+                 "--report", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("command,option,kind", [
     ("sweep-tau", "--taus", "integer"),
     ("intra-delay", "--tau-intra", "integer"),
@@ -521,12 +532,36 @@ def test_intra_delay_artifacts(tmp_path):
     assert all(r["separation_ratio"] is not None for r in report["rows"])
 
 
+def test_intra_delay_trace_writes_capped_row_as_na(tmp_path):
+    """A row that reaches its cap has no follower settling iteration and no
+    separation ratio: the CSV writes both as NA and its booleans in lower
+    case."""
+    config, _ = tiny_config(tmp_path, tau=8)
+    trace_path = tmp_path / "intra.csv"
+    assert main(["intra-delay", "--config", str(config), "--tau-intra", "0,300",
+                 "--max-iters", "400", "--trace", str(trace_path),
+                 "--report", str(tmp_path / "intra.json")]) == 0
+    header, rows = read_csv(trace_path)
+    assert header == ["tau_intra", "converged", "iterations", "follower_iterations",
+                      "separation_ratio", "admissible"]
+    assert rows[0][:2] == ["0", "true"]
+    assert rows[1] == ["300", "false", "400", "NA", "NA", "false"]
+
+
 # ---------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------
 
 def test_missing_config_is_storage_error(tmp_path):
     assert main(["spectral", "--config", str(tmp_path / "nope.json")]) == 6
+
+
+def test_unwritable_trace_is_storage_error(tmp_path, capsys):
+    config, _ = tiny_config(tmp_path, max_iters=20)
+    trace_path = tmp_path / "missing" / "t.csv"
+    assert main(["run", "--config", str(config), "--trace", str(trace_path)]) == 6
+    assert capsys.readouterr().err.startswith(f"storage error: cannot write {trace_path}")
+    assert not trace_path.parent.exists()
 
 
 def test_malformed_json_is_config_error(tmp_path, capsys):

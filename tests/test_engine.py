@@ -31,6 +31,14 @@ def leader_ids(network):
     return [c.leader_id for c in network.clusters]
 
 
+def steps_of(spec):
+    return StepSizes(spec.gamma, spec.beta)
+
+
+# Step sizes for states that are built but never swept.
+UNUSED_STEPS = StepSizes(0.5, 0.1)
+
+
 def global_state(network, state):
     """Reassemble the engine's follower and leader stacks into one (N, d)
     array indexed by global node id."""
@@ -48,11 +56,10 @@ def cluster_blocks(state, followers):
 def trajectory(network, spec, steps):
     """Advance the engine step by step, collecting global state arrays."""
     init = sample_initial_values(spec, network.total_nodes)
-    state = init_state(network, init, spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+    state = init_state(network, init, spec.tau, spec.tau_intra, steps=steps_of(spec))
     out = [global_state(network, state)]
     for _ in range(steps):
-        advance(network, state, sizes)
+        advance(state)
         out.append(global_state(network, state))
     return init, out
 
@@ -71,11 +78,10 @@ HISTORY_BLOCKS = (1, 4, engine.BLOCK_ITERATIONS)
                                            (11, 9), (130, 191)])
 def test_history_rings(tiny_spec, tiny_network, monkeypatch, tau, tau_intra):
     init = sample_initial_values(tiny_spec.replace(d=2), 12)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
     depth = max(tau, tau_intra) + 1
     for block in HISTORY_BLOCKS:
         monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
-        state = init_state(tiny_network, init, tau, tau_intra)
+        state = init_state(tiny_network, init, tau, tau_intra, steps=steps_of(tiny_spec))
         assert state.block == block
         seen = []
         for k in range(3 * depth + 2):
@@ -86,7 +92,7 @@ def test_history_rings(tiny_spec, tiny_network, monkeypatch, tau, tau_intra):
                 assert state.leaders_at(t).tobytes() == past[1].tobytes(), (block, k, t)
                 if t <= tau_intra:
                     assert state.followers_at(t).tobytes() == past[0].tobytes()
-            advance(tiny_network, state, sizes)
+            advance(state)
         for offset in (-1, depth):
             with pytest.raises(DomainError):
                 state.leaders_at(offset)
@@ -113,7 +119,7 @@ def test_step_sizes_beta_one_allowed():
 
 def test_init_state_promotes_vector(tiny_network):
     vals = np.arange(12, dtype=float)
-    state = init_state(tiny_network, vals, tau=0)
+    state = init_state(tiny_network, vals, tau=0, steps=UNUSED_STEPS)
     assert state.followers_at(0).shape[1] == 1
     assert state.followers_at(0)[:, 0].tolist() == [1, 2, 3, 5, 6, 7, 9, 10, 11]
     assert state.leaders_at(0)[:, 0].tolist() == [0, 4, 8]
@@ -121,32 +127,33 @@ def test_init_state_promotes_vector(tiny_network):
 
 def test_init_state_shape_mismatch(tiny_network):
     with pytest.raises(ShapeError):
-        init_state(tiny_network, np.zeros((5, 1)), tau=0)
+        init_state(tiny_network, np.zeros((5, 1)), tau=0, steps=UNUSED_STEPS)
 
 
 def test_init_state_nonfinite(tiny_network):
     vals = np.zeros((12, 1))
     vals[3] = np.inf
     with pytest.raises(NumericError):
-        init_state(tiny_network, vals, tau=0)
+        init_state(tiny_network, vals, tau=0, steps=UNUSED_STEPS)
 
 
 def test_init_state_negative_delay(tiny_network):
     with pytest.raises(DomainError):
-        init_state(tiny_network, np.zeros((12, 1)), tau=-1)
+        init_state(tiny_network, np.zeros((12, 1)), tau=-1, steps=UNUSED_STEPS)
     with pytest.raises(DomainError):
-        init_state(tiny_network, np.zeros((12, 1)), tau=0, tau_intra=-1)
+        init_state(tiny_network, np.zeros((12, 1)), tau=0, tau_intra=-1, steps=UNUSED_STEPS)
 
 
 @pytest.mark.parametrize("tau,tau_intra", [(2.5, 0), (2, 0.7), (2.0, 0), (0, 1.0)])
 def test_init_state_fractional_delay(tiny_network, tau, tau_intra):
     with pytest.raises(DomainError):
-        init_state(tiny_network, np.zeros((12, 1)), tau=tau, tau_intra=tau_intra)
+        init_state(tiny_network, np.zeros((12, 1)), tau=tau, tau_intra=tau_intra,
+                   steps=UNUSED_STEPS)
 
 
 def test_init_state_numpy_integer_delay(tiny_network):
     state = init_state(tiny_network, np.zeros((12, 1)), tau=np.int64(2),
-                       tau_intra=np.int32(1))
+                       tau_intra=np.int32(1), steps=UNUSED_STEPS)
     assert (state.tau, state.tau_intra) == (2, 1)
 
 
@@ -193,9 +200,9 @@ def test_engine_matches_dense_reference(kw):
 def test_beta_one_pure_mixing(tiny_spec, tiny_network):
     # with beta = 1 and tau = 0 the leaders apply the mixing matrix directly
     init = sample_initial_values(tiny_spec, 12)
-    state = init_state(tiny_network, init, tau=0)
+    state = init_state(tiny_network, init, tau=0, steps=StepSizes(0.5, 1.0))
     before = state.leaders_at(0).copy()
-    advance(tiny_network, state, StepSizes(0.5, 1.0))
+    advance(state)
     v = tiny_network.leader_weights.entries
     assert np.allclose(state.leaders_at(0), v @ before, atol=1e-14)
 
@@ -294,17 +301,18 @@ def assert_records_close(got, want, tol):
             np.ravel(getattr(want, name)), rel=0.0, abs=tol), name
 
 
-def assert_sweep_matches_reference(network, state, sizes):
+def assert_sweep_matches_reference(state):
     """The followers and leaders that advance computes on a copy of
     `state` and the stopping metric of `state` equal their per-node and
     per-cluster references to the bit.  The diagnostics sum each cluster by
     segment reductions, in another order than mean and np.linalg.norm, so
     they agree with the per-cluster reference to rounding."""
-    new = advance(network, state.copy(), sizes)
+    network, (steps,) = state.network, state.steps
+    new = advance(state.copy())
     for a, got in enumerate(cluster_blocks(state, new.followers_at(0))):
-        want = reference_follower_step(network, state, a, sizes.gamma)
+        want = reference_follower_step(network, state, a, steps.gamma)
         assert got.tobytes() == want.tobytes(), f"cluster {a}"
-    want = reference_leader_step(state, sizes.beta, network.leader_weights)
+    want = reference_leader_step(state, steps.beta, network.leader_weights)
     assert new.leaders_at(0).tobytes() == want.tobytes(), "leaders"
     record, metric = one_iteration(state)
     assert_records_close(record, reference_diagnostics(state), 1e-13)
@@ -355,8 +363,7 @@ def networks(draw, family, d, tau_intra):
 def test_updates_match_per_node_reference(family, d, tau_intra, data):
     spec, network = data.draw(networks(family, d, tau_intra))
     init = sample_initial_values(spec, network.total_nodes)
-    state = init_state(network, init, spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+    state = init_state(network, init, spec.tau, spec.tau_intra, steps=steps_of(spec))
     ref = oracle.simulate_dense(network, init, spec.gamma, spec.beta, spec.tau,
                                 spec.tau_intra, steps=spec.max_iters)
     stepped = []
@@ -366,8 +373,8 @@ def test_updates_match_per_node_reference(family, d, tau_intra, data):
         stepped.append(one_iteration(state)[0])
         if k == spec.max_iters:
             break
-        assert_sweep_matches_reference(network, state, sizes)
-        advance(network, state, sizes)
+        assert_sweep_matches_reference(state)
+        advance(state)
 
     # the families of one state are the traced row of its iteration, bit for bit
     trace = run(network, spec)
@@ -475,11 +482,10 @@ def test_gather_sum_tiny_stacks(sizes, d, width, negative_zero):
 def sweep_against_reference(spec, steps):
     network = build_clustered_network(spec)
     init = sample_initial_values(spec, network.total_nodes)
-    state = init_state(network, init, spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+    state = init_state(network, init, spec.tau, spec.tau_intra, steps=steps_of(spec))
     for _ in range(steps):
-        assert_sweep_matches_reference(network, state, sizes)
-        advance(network, state, sizes)
+        assert_sweep_matches_reference(state)
+        advance(state)
     return network
 
 
@@ -560,11 +566,10 @@ def test_sweep_pads_leader_table_narrower_than_followers(d, negative_zero, data)
         zeroed = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
         for cluster in itertools.compress(network.clusters, zeroed):
             init[list(cluster.follower_ids)] = -0.0
-    state = init_state(network, init, spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+    state = init_state(network, init, spec.tau, spec.tau_intra, steps=steps_of(spec))
     for _ in range(2 * max(spec.tau, spec.tau_intra) + 3):
-        assert_sweep_matches_reference(network, state, sizes)
-        advance(network, state, sizes)
+        assert_sweep_matches_reference(state)
+        advance(state)
     if negative_zero:
         assert np.signbit(state.leaders_at(0)).all() and not state.leaders_at(0).any()
 
@@ -589,11 +594,10 @@ def test_sweep_pads_follower_table_narrower_than_leaders(r, tau, tau_intra, d,
     if negative_zero:
         init[leader_ids(network)] = -0.0
         init[list(network.clusters[-1].follower_ids)] = -0.0
-    state = init_state(network, init, spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+    state = init_state(network, init, spec.tau, spec.tau_intra, steps=steps_of(spec))
     for _ in range(2 * max(tau, tau_intra) + 6):
-        assert_sweep_matches_reference(network, state, sizes)
-        advance(network, state, sizes)
+        assert_sweep_matches_reference(state)
+        advance(state)
     if negative_zero:
         last = cluster_blocks(state, state.followers_at(0))[-1]
         assert np.signbit(last).all() and not last.any()
@@ -632,9 +636,8 @@ def test_sweep_table_is_ellpack_of_block_diagonal(name):
     spec = SWEEP_TABLE_SPECS[name]
     network = build_clustered_network(spec)
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
-                       spec.tau, spec.tau_intra)
-    steps = StepSizes(spec.gamma, spec.beta)
-    index, weight, hold = engine._sweep_table(network, state, steps)
+                       spec.tau, spec.tau_intra, steps=steps_of(spec))
+    index, weight, hold = engine._sweep_table(state)
     a = block_diagonal([c.follower_weights.entries for c in network.clusters]
                        + [network.leader_weights.entries])
     n = len(a)
@@ -696,51 +699,30 @@ def test_advance_takes_a_non_negative_integer_count(tiny_spec):
     """A count that is no integer fails as a negative one does, and an
     integer of any kind advances k by its int value."""
     network = build_clustered_network(tiny_spec)
-    state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau,
+                       steps=steps_of(tiny_spec))
     for count in (2.5, "3", None):
         with pytest.raises(DomainError, match="sweep count"):
-            advance(network, state, sizes, count)
-    advance(network, state, sizes, np.int64(2))
+            advance(state, count)
+    advance(state, np.int64(2))
     assert state.k == 2 and type(state.k) is int
 
 
 def test_sweep_table_built_once_on_first_sweep(tiny_spec):
     network = build_clustered_network(tiny_spec)
     spectral_summary(network, tiny_spec.tau)
-    state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau)
-    assert state._tables is None
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
-    advance(network, state, sizes)
-    table = state._tables
+    state = init_state(network, sample_initial_values(tiny_spec, 12), tiny_spec.tau,
+                       steps=steps_of(tiny_spec))
+    assert state._table is None
+    advance(state)
+    table = state._table
     assert table is not None
-    advance(network, state, sizes)
-    assert state._tables is table
-    advance(network, state, sizes, 0)
+    advance(state)
+    assert state._table is table
+    advance(state, 0)
     with pytest.raises(DomainError):
-        advance(network, state, sizes, -1)
-    assert state.k == 2 and state._tables is table
-
-
-@pytest.mark.parametrize("sizes", [(20, 20, 21), (21, 20, 20), (21, 20, 19)],
-                         ids=["last-larger", "first-larger", "same-total"])
-def test_advance_refuses_network_of_other_cluster_sizes(sizes):
-    """A state of preset_small (clusters of 20) advances only on a network
-    with its cluster sizes: another layout fails with ShapeError before any
-    sweep, also when the node count is the same, and one with the same
-    sizes is accepted."""
-    spec = preset_small()
-    network = build_clustered_network(spec)
-    state = init_state(network, sample_initial_values(spec, network.total_nodes),
-                       spec.tau)
-    sizes_step = StepSizes(spec.gamma, spec.beta)
-    other = build_clustered_network(spec.replace(cluster_sizes=sizes))
-    before = state._history.copy()
-    with pytest.raises(ShapeError, match="cannot advance a state laid out for"):
-        advance(other, state, sizes_step)
-    assert state.k == 0 and state._history.tobytes() == before.tobytes()
-    same = build_clustered_network(spec.replace(seed=spec.seed + 1))
-    assert advance(same, state, sizes_step, 3).k == 3
+        advance(state, -1)
+    assert state.k == 2 and state._table is table
 
 
 @pytest.mark.parametrize("bad_id", [10**9, -10**9])
@@ -756,15 +738,14 @@ def test_sweep_table_refuses_an_id_outside_the_window(monkeypatch, tiny_spec,
         return index, weight
 
     state = init_state(tiny_network, sample_initial_values(tiny_spec, 12),
-                       tiny_spec.tau)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+                       tiny_spec.tau, steps=steps_of(tiny_spec))
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_ellpack", corrupt)
         with pytest.raises(ShapeError, match="outside the window"):
-            advance(tiny_network, state, sizes)
+            advance(state)
     assert state.k == 0
     state._band = None
-    assert advance(tiny_network, state, sizes).k == 1
+    assert advance(state).k == 1
 
 
 def families_one_sqrt_per_row(followers, leaders, starts, owner):
@@ -916,13 +897,12 @@ def test_run_records_match_reference(tiny_spec, tiny_network):
 
 def test_stopping_metric_matches_reference(tiny_spec, tiny_network):
     init = sample_initial_values(tiny_spec, 12)
-    state = init_state(tiny_network, init, tiny_spec.tau)
+    state = init_state(tiny_network, init, tiny_spec.tau, steps=steps_of(tiny_spec))
     want = oracle.worst_follower_leader_distance(tiny_network, init)
     assert one_iteration(state)[1] == pytest.approx(want, abs=1e-12)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
     for _ in range(20):
         assert one_iteration(state)[1] == reference_stopping_metric(state)
-        advance(tiny_network, state, sizes)
+        advance(state)
 
 
 def test_run_until_settles(tiny_spec, tiny_network):
@@ -999,8 +979,7 @@ def per_sweep_run_until(network, spec):
     sweep and the diagnostics taken one iteration at a time.  Returns
     (converged, iterations), the five columns and the rule."""
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
-                       spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+                       spec.tau, spec.tau_intra, steps=steps_of(spec))
     rule = SettlingRule(spec.threshold, max(spec.tau, spec.tau_intra) + 1)
     records = []
     while True:
@@ -1012,7 +991,7 @@ def per_sweep_run_until(network, spec):
         if state.k >= spec.max_iters:
             outcome = (False, spec.max_iters)
             break
-        advance(network, state, sizes)
+        advance(state)
     columns = [np.array([getattr(rec, name) for rec in records]) for name in FAMILIES]
     return outcome, columns, rule
 
@@ -1020,11 +999,10 @@ def per_sweep_run_until(network, spec):
 def metric_sequence(network, spec):
     """The stopping metric at iterations 0..spec.max_iters."""
     state = init_state(network, sample_initial_values(spec, network.total_nodes),
-                       spec.tau, spec.tau_intra)
-    sizes = StepSizes(spec.gamma, spec.beta)
+                       spec.tau, spec.tau_intra, steps=steps_of(spec))
     out = [one_iteration(state)[1]]
     for _ in range(spec.max_iters):
-        advance(network, state, sizes)
+        advance(state)
         out.append(one_iteration(state)[1])
     return out
 
@@ -1146,7 +1124,7 @@ def test_block_length_capped_by_bytes(tiny_network, monkeypatch):
     for budget, block in ((1 << 20, engine.BLOCK_ITERATIONS),
                           (5 * sweep_bytes + 1, 5), (sweep_bytes - 1, 1)):
         monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
-        state = init_state(tiny_network, init, tau=3, tau_intra=9)
+        state = init_state(tiny_network, init, tau=3, tau_intra=9, steps=UNUSED_STEPS)
         assert state.block == block
         # the window of the longest delay, then at least as many slots in
         # whole blocks
@@ -1158,12 +1136,12 @@ def test_block_length_capped_by_bytes(tiny_network, monkeypatch):
 
 def test_block_states_are_one_block(tiny_spec, tiny_network, monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_ITERATIONS", 4)
-    state = init_state(tiny_network, sample_initial_values(tiny_spec, 12), tau=2)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
+    state = init_state(tiny_network, sample_initial_values(tiny_spec, 12), tau=2,
+                       steps=steps_of(tiny_spec))
     seen = []
     for _ in range(6):
         seen.append(state.followers_at(0).copy())
-        advance(tiny_network, state, sizes)
+        advance(state)
     seen.append(state.followers_at(0).copy())
     followers, leaders = state.block_states(4)
     assert followers.shape == (3, 9, 1) and leaders.shape == (3, 3, 1)
@@ -1175,10 +1153,10 @@ def test_block_states_are_one_block(tiny_spec, tiny_network, monkeypatch):
 
 def test_state_copy_is_independent(tiny_spec, tiny_network, monkeypatch):
     init = sample_initial_values(tiny_spec, 12)
-    sizes = StepSizes(tiny_spec.gamma, tiny_spec.beta)
     for block, tau_intra in itertools.product(HISTORY_BLOCKS, (0, 2, 11, 70)):
         monkeypatch.setattr(engine, "BLOCK_ITERATIONS", block)
-        state = init_state(tiny_network, init, tiny_spec.tau, tau_intra)
+        state = init_state(tiny_network, init, tiny_spec.tau, tau_intra,
+                           steps=steps_of(tiny_spec))
         reach = max(state.tau, tau_intra)
         # copy at each iteration of a buffer's length, so that the window
         # has been shifted to the front before some copies and is shifted
@@ -1190,11 +1168,11 @@ def test_state_copy_is_independent(tiny_spec, tiny_network, monkeypatch):
                 assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
             for t in range(tau_intra + 1):
                 assert np.array_equal(frozen.followers_at(t), state.followers_at(t))
-            advance(tiny_network, state, sizes)
+            advance(state)
             assert np.array_equal(frozen.leaders_at(0), mark)
             assert frozen.k == k and state.k == k + 1
             # the copy continues exactly like the original would have
-            advance(tiny_network, frozen, sizes)
+            advance(frozen)
             for t in range(reach + 1):
                 assert np.array_equal(frozen.leaders_at(t), state.leaders_at(t))
             for t in range(tau_intra + 1):

@@ -78,3 +78,38 @@ def test_modules_import_only_earlier_layers():
                       for name in imported_modules(node)
                       if LAYERS.index(name) >= rank]
     assert not wrong, wrong
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every name that a module's imports bind and that the
+    module neither reads nor lists in __all__."""
+    tree = ast.parse(source)
+    bound = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read | exported]
+
+
+def test_unused_imports_finds_a_name_never_read():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from .errors import ShapeError, DomainError as Bad\n"
+              "__all__ = ['Bad']\nos.sep\n")
+    assert unused_imports(source) == [(3, "ShapeError")]
+
+
+def test_package_modules_read_every_import():
+    """A change that deletes the last use of an imported name deletes the
+    import too."""
+    package = Path(cluster_consensus.__file__).parent
+    unused = [f"{path.name}:{line}: {name}" for path in sorted(package.glob("*.py"))
+              for line, name in unused_imports(path.read_text())]
+    assert not unused, unused

@@ -86,6 +86,14 @@ def test_geometric_requires_radius():
 def test_explicit_requires_edges():
     with pytest.raises(ConfigError):
         make_spec(family="explicit")
+    with pytest.raises(ConfigError, match="got 1 edge lists for 2 clusters"):
+        make_spec(family="explicit", cluster_edges=([(0, 1)],))
+
+
+def test_explicit_leader_graph_requires_edges():
+    with pytest.raises(ConfigError, match="explicit leader graph needs an edge list"):
+        make_spec(leader_graph="explicit")
+    make_spec(leader_graph="explicit", leader_edges=[(0, 1)])    # fine
 
 
 def test_init_range_ordering():

@@ -22,7 +22,7 @@ only the comparisons that failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral
 
 import numpy as np
@@ -180,16 +180,7 @@ class BoundReport:
             "fingerprint": self.fingerprint,
             "slack": self.slack,
             "all_satisfied": self.all_satisfied,
-            "families": {
-                name: {
-                    "applicable": f.applicable,
-                    "checked": f.checked,
-                    "failures": f.failures,
-                    "worst_margin": f.worst_margin,
-                    "first_violation_k": f.first_violation_k,
-                }
-                for name, f in self.families.items()
-            },
+            "families": {name: asdict(f) for name, f in self.families.items()},
             "checked": sum(f.checked for f in self.families.values()),
             "violations": [dict(v) for v in self.violations],
         }

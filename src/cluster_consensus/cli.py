@@ -10,6 +10,10 @@ Subcommands:
     rate-study     residual-floor scaling under gamma = beta^(1/3)
     intra-delay    time-scale separation under intra-cluster delays
 
+The three studies share one command, cmd_study: each study's subparser
+names its study function, how to parse its list of values and what to say
+when the list is empty.
+
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 bad configuration,
 4 topology failure, 5 cap exhaustion, 6 storage failure.  Floats in CSV
 artifacts carry 17 significant digits so parsing them back is lossless.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,15 +167,7 @@ class RunManifest:
     artifacts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "config": self.config,
-            "spectral": self.spectral,
-            "admissibility": self.admissibility,
-            "outcome": self.outcome,
-            "artifacts": self.artifacts,
-        }
+        return {"tool": TOOL_NAME, "version": __version__, **asdict(self)}
 
 
 def build_manifest(spec: ScenarioSpec, network, result: RunResult,
@@ -214,13 +210,8 @@ def manifest_path(trace_path) -> Path:
 
 def _load_spec(args) -> ScenarioSpec:
     spec = parse_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "max_iters", None) is not None:
-        overrides["max_iters"] = args.max_iters
-    if getattr(args, "threshold", None) is not None:
-        overrides["threshold"] = args.threshold
+    overrides = {name: getattr(args, name) for name in ("seed", "max_iters", "threshold")
+                 if getattr(args, name) is not None}
     return spec.replace(**overrides) if overrides else spec
 
 
@@ -308,43 +299,22 @@ def _parse_list(text: str, kind, noun: str) -> list:
                           f"got {text!r}") from e
 
 
-def _emit_sweep(result: SweepResult, args) -> int:
+def cmd_study(args) -> int:
+    """One parameter study: args.study over the values of args.values,
+    parsed by args.kind, with the rows as CSV and the report as JSON."""
+    spec = _load_spec(args)
+    values = _parse_list(args.values, *args.kind)
+    if not values:
+        raise ConfigError(args.empty)
+    result = args.study(spec, values)
     if args.trace:
         sweep_csv(result, args.trace)
     if args.report:
         data = {"axis": result.axis, "rows": result.rows}
         if result.fit is not None:
-            data["fit"] = {
-                "slope": result.fit.slope,
-                "intercept": result.fit.intercept,
-                "r_squared": result.fit.r_squared,
-            }
+            data["fit"] = asdict(result.fit)
         write_report(data, args.report)
     return EXIT_CAP if result.all_capped else EXIT_OK
-
-
-def cmd_sweep_tau(args) -> int:
-    spec = _load_spec(args)
-    taus = _parse_list(args.taus, int, "integer")
-    if not taus:
-        raise ConfigError("--taus names no delays")
-    return _emit_sweep(tau_sweep(spec, taus), args)
-
-
-def cmd_rate_study(args) -> int:
-    spec = _load_spec(args)
-    betas = _parse_list(args.betas, float, "float")
-    if not betas:
-        raise ConfigError("--betas names no step sizes")
-    return _emit_sweep(rate_study(spec, betas), args)
-
-
-def cmd_intra_delay(args) -> int:
-    spec = _load_spec(args)
-    values = _parse_list(args.tau_intra, int, "integer")
-    if not values:
-        raise ConfigError("--tau-intra names no delays")
-    return _emit_sweep(intra_delay_study(spec, values), args)
 
 
 # ---------------------------------------------------------------------
@@ -395,24 +365,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-tau", help="iterations-to-threshold per delay")
     common(p, report=True)
-    p.add_argument("--taus", required=True, help="comma-separated delays")
+    p.add_argument("--taus", required=True, dest="values", metavar="TAUS",
+                   help="comma-separated delays")
     p.add_argument("--trace", help="optional CSV of the sweep rows")
-    p.set_defaults(func=cmd_sweep_tau)
+    p.set_defaults(func=cmd_study, study=tau_sweep, kind=(int, "integer"),
+                   empty="--taus names no delays")
 
     p = sub.add_parser("rate-study",
                        help="residual scaling under gamma = beta^(1/3)")
     common(p, report=True)
-    p.add_argument("--betas", required=True, help="comma-separated step sizes")
+    p.add_argument("--betas", required=True, dest="values", metavar="BETAS",
+                   help="comma-separated step sizes")
     p.add_argument("--trace", help="optional CSV of the study rows")
-    p.set_defaults(func=cmd_rate_study)
+    p.set_defaults(func=cmd_study, study=rate_study, kind=(float, "float"),
+                   empty="--betas names no step sizes")
 
     p = sub.add_parser("intra-delay",
                        help="time-scale separation per intra-cluster delay")
     common(p, report=True)
-    p.add_argument("--tau-intra", required=True, dest="tau_intra",
+    p.add_argument("--tau-intra", required=True, dest="values", metavar="TAU_INTRA",
                    help="comma-separated intra-cluster delays")
     p.add_argument("--trace", help="optional CSV of the study rows")
-    p.set_defaults(func=cmd_intra_delay)
+    p.set_defaults(func=cmd_study, study=intra_delay_study, kind=(int, "integer"),
+                   empty="--tau-intra names no delays")
 
     return parser
 

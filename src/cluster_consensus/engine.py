@@ -185,7 +185,13 @@ class NetworkState:
         """One instance per (N, d) array of initial values in `values`, row
         i the node of global id i, with the delays and the StepSizes of the
         same position; `iterations` sets the block length (see
-        _block_length)."""
+        _block_length).  Lists of different lengths raise ShapeError, and
+        an entry of `steps` that is not a StepSizes raises DomainError."""
+        if not len(values) == len(delays) == len(steps):
+            raise ShapeError(f"{len(values)} value arrays, {len(delays)} delay pairs "
+                             f"and {len(steps)} step sizes do not pair up")
+        if not all(isinstance(s, StepSizes) for s in steps):
+            raise DomainError(f"steps must be StepSizes, got {list(steps)!r}")
         sizes = [len(c.follower_ids) for c in network.clusters]
         order = ([i for c in network.clusters for i in c.follower_ids]
                  + [c.leader_id for c in network.clusters])

@@ -24,7 +24,6 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
-    ConfigError,
     ConstructionError,
     DomainError,
     NumericError,
@@ -439,10 +438,8 @@ def build_clustered_network(spec) -> "ClusteredNetwork":
             graph = ring_graph(followers)
         elif spec.family == "geometric":
             graph = geometric_graph(followers, spec.radius, rng)
-        elif spec.family == "explicit":
+        else:
             graph = AdjacencyGraph.from_edges(followers, spec.cluster_edges[a])
-        else:  # pragma: no cover - scenario validation rejects this earlier
-            raise ConfigError(f"unknown topology family {spec.family!r}")
         weights = metropolis_weights(graph)
         clusters.append(
             Cluster(
@@ -457,9 +454,7 @@ def build_clustered_network(spec) -> "ClusteredNetwork":
     if spec.leader_graph == "line":
         lg = line_graph(r)
     elif spec.leader_graph == "complete":
-        lg = complete_graph(r) if r > 1 else line_graph(1)
-    elif spec.leader_graph == "explicit":
+        lg = complete_graph(r)
+    else:
         lg = AdjacencyGraph.from_edges(r, spec.leader_edges)
-    else:  # pragma: no cover - scenario validation rejects this earlier
-        raise ConfigError(f"unknown leader graph {spec.leader_graph!r}")
     return ClusteredNetwork(tuple(clusters), metropolis_weights(lg), offset)

@@ -11,7 +11,6 @@ import subprocess
 import time
 
 import numpy as np
-import pytest
 
 import oracle
 from cluster_consensus import (

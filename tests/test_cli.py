@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -330,6 +331,57 @@ def test_preset_small_manifest_digest(tmp_path, monkeypatch):
     assert digest == PRESET_SMALL_MANIFEST_SHA256, (
         f"preset_small manifest digest is {digest}; if intentional, disclose "
         "the byte move in CHANGES.md and update the digest")
+
+
+# SHA-256 of the reports and CSVs written on preset_small: the arguments of
+# each command besides --config, --report and --trace, the digest of its
+# --report JSON and that of its --trace CSV (verify-bounds writes none)
+PRESET_SMALL_REPORT_SHA256 = (
+    (["verify-bounds"],
+     "454fa3fd5c0aeece69493dd47ccf73efceab17e9232648ad2e9c06d2e4d69b94", None),
+    (["sweep-tau", "--taus", "0,5,5,10"],
+     "a14f7a3fa3a876ebf03c20df4c8dd165613781c72c6977765c90cd10600b1f4e",
+     "07ab0ba2f800a21de9f65bbe19f8448bd49ac4b27f67c42207b449bd21662cc2"),
+    (["rate-study", "--betas", "0.001,0.008", "--max-iters", "300"],
+     "d317adc311ae0dd9a1c77661b8f753904ed20fcad7f5c355c5fb6070749d0320",
+     "32c109d03e2a8ec84c84235a8789f33d5d93e7754d5374c06def1b698f3a7e7b"),
+    (["intra-delay", "--tau-intra", "0,2"],
+     "cf88cea9f6e6bd4d8910927f112e2f491c7ce48df6458d9c62011f12a3630328",
+     "46cf56f276fbdf4b2ab2cb77b8d1e9a8e08cc831ea74473d6c603e018203a463"),
+)
+
+# what each study's --help shows for its list of values
+STUDY_HELP = (("sweep-tau", "--taus TAUS", "comma-separated delays"),
+              ("rate-study", "--betas BETAS", "comma-separated step sizes"),
+              ("intra-delay", "--tau-intra TAU_INTRA",
+               "comma-separated intra-cluster delays"))
+
+
+def test_preset_small_report_digests(tmp_path, monkeypatch, capsys):
+    """Report and study CSV bytes may only move between versions on purpose,
+    and each study's help names its list as before."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "small", "--config", "small.json"]) == 0
+    moved = []
+    for args, report_sha256, trace_sha256 in PRESET_SMALL_REPORT_SHA256:
+        expected = {"r.json": report_sha256}
+        flags = ["--report", "r.json"]
+        if trace_sha256:
+            expected["t.csv"] = trace_sha256
+            flags += ["--trace", "t.csv"]
+        assert main(args + ["--config", "small.json"] + flags) == 0
+        for path, digest in expected.items():
+            actual = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+            if actual != digest:
+                moved.append(f"{args[0]} {path}: {actual}")
+    assert not moved, ("digests moved; if intentional, disclose the byte move "
+                       f"in CHANGES.md and update them: {moved}")
+    for command, option, text in STUDY_HELP:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert re.search(rf"{re.escape(option)}\s+{re.escape(text)}\n",
+                         capsys.readouterr().out)
 
 
 def test_document_with_retired_record_stride(tmp_path):

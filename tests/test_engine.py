@@ -157,6 +157,19 @@ def test_init_state_numpy_integer_delay(tiny_network):
     assert (state.tau, state.tau_intra) == (2, 1)
 
 
+def test_state_refuses_steps_and_instances_it_cannot_sweep(tiny_network):
+    """Step sizes that are not a StepSizes, and values, delays and step
+    sizes of different counts, fail where the state is built, not on its
+    first sweep."""
+    vals = np.zeros((12, 1))
+    with pytest.raises(DomainError, match="StepSizes"):
+        init_state(tiny_network, vals, tau=0, steps=(0.5, 0.1))
+    with pytest.raises(ShapeError):
+        engine.NetworkState(tiny_network, [vals, vals], [(0, 0)] * 2, [UNUSED_STEPS])
+    with pytest.raises(ShapeError):
+        engine.NetworkState(tiny_network, [vals, vals], [(0, 0)], [UNUSED_STEPS] * 2)
+
+
 def test_sample_initial_values_deterministic(tiny_spec):
     a = sample_initial_values(tiny_spec, 12)
     b = sample_initial_values(tiny_spec, 12)

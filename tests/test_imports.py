@@ -108,8 +108,11 @@ def test_unused_imports_finds_a_name_never_read():
 
 def test_package_modules_read_every_import():
     """A change that deletes the last use of an imported name deletes the
-    import too."""
-    package = Path(cluster_consensus.__file__).parent
-    unused = [f"{path.name}:{line}: {name}" for path in sorted(package.glob("*.py"))
+    import too, in the package, the tests and the demos."""
+    root = Path(__file__).parent.parent
+    paths = [*Path(cluster_consensus.__file__).parent.glob("*.py"),
+             *root.glob("tests/*.py"), *root.glob("demos/*.py")]
+    assert len(paths) > len(LAYERS)
+    unused = [f"{path.parent.name}/{path.name}:{line}: {name}" for path in sorted(paths)
               for line, name in unused_imports(path.read_text())]
     assert not unused, unused

@@ -307,13 +307,12 @@ def cmd_study(args) -> int:
     if not values:
         raise ConfigError(args.empty)
     result = args.study(spec, values)
-    if args.trace:
+    if args.trace is not None:          # optional, but an empty path is a path
         sweep_csv(result, args.trace)
-    if args.report:
-        data = {"axis": result.axis, "rows": result.rows}
-        if result.fit is not None:
-            data["fit"] = asdict(result.fit)
-        write_report(data, args.report)
+    data = {"axis": result.axis, "rows": result.rows}
+    if result.fit is not None:
+        data["fit"] = asdict(result.fit)
+    write_report(data, args.report)
     return EXIT_CAP if result.all_capped else EXIT_OK
 
 

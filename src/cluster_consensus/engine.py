@@ -177,8 +177,9 @@ class NetworkState:
     followers_at(t) and leaders_at(t) read the states of instance 0, t
     iterations ago, t = 0 the current ones.  Both return views into the
     buffer, which later iterations overwrite, so a caller copies what it
-    keeps.  owner[i] is the cluster of follower row i and starts[a] the
-    first row of cluster a, the same in every instance.
+    keeps.  owner[i] is the cluster of follower row i, starts[a] the
+    first row of cluster a and sizes[a] its number of rows, the same in
+    every instance.
     """
 
     def __init__(self, network, values, delays, steps, iterations=None):
@@ -200,6 +201,7 @@ class NetworkState:
         self.k = 0
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
         self.starts = np.cumsum([0] + sizes[:-1])
+        self.sizes = np.array(sizes)
         self._split = sum(sizes)
         self._rows = len(order)                 # N_f + r
         self._set_instances(delays, steps)
@@ -516,22 +518,23 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _follower_disagreement(followers, starts, owner) -> tuple:
+def _follower_disagreement(followers, starts, sizes) -> tuple:
     """The follower averages of each cluster, (n, r, d), and the follower
     disagreement, (n, r), at each of n iterations, from an (n, N_f, d)
-    stack laid out as in _diagnostics_block."""
-    counts = np.diff(starts, append=followers.shape[1])[:, None]
-    avg = np.add.reduceat(followers, starts, axis=1) / counts
-    spread = _squares(followers - avg[:, owner])
+    stack laid out as in _diagnostics_block.  np.repeat spreads each
+    average over its cluster's rows in one C-contiguous array, which the
+    subtraction reads several times faster than a gather by owner."""
+    avg = np.add.reduceat(followers, starts, axis=1) / sizes[:, None]
+    spread = _squares(followers - np.repeat(avg, sizes, axis=1))
     return avg, np.sqrt(np.add.reduceat(spread, starts, axis=1))
 
 
-def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
+def _diagnostics_block(followers, leaders, starts, sizes) -> tuple:
     """Every error family at each of n iterations at once.
 
     followers is an (n, N_f, d) stack of the follower rows of n iterations,
-    cluster a occupying rows starts[a] up to starts[a + 1] and owner[i]
-    naming the cluster of row i; leaders is the matching (n, r, d) stack.
+    cluster a occupying the sizes[a] rows from starts[a] on; leaders is the
+    matching (n, r, d) stack.
     Returns the columns (follower disagreement, leader disagreement,
     leader-follower gap, cluster node error, global error), shaped (n, r),
     (n,), (n, r), (n, r) and (n,).  Per-cluster sums are segment
@@ -541,7 +544,7 @@ def _diagnostics_block(followers, leaders, starts, owner) -> tuple:
     and correctly rounded, so that equals the largest of the distances bit
     for bit, with one sqrt per cluster in place of one per row.
     """
-    avg, follower_dis = _follower_disagreement(followers, starts, owner)
+    avg, follower_dis = _follower_disagreement(followers, starts, sizes)
     gap = np.sqrt(_squares(avg - leaders))
     lead_avg = np.add.reduce(leaders, axis=1, keepdims=True) / leaders.shape[1]
     node_err = np.sqrt(np.maximum.reduceat(_squares(followers - lead_avg), starts,
@@ -570,7 +573,7 @@ def _drive(network, specs, until: bool, evaluate=None) -> list:
     max_iters; with `until`, stop at a confirmed settling iteration (see
     run_until).  Returns one RunResult per spec, in order.
 
-    `evaluate(followers, leaders, starts, owner)` maps the (n, N_f, d) and
+    `evaluate(followers, leaders, starts, sizes)` maps the (n, N_f, d) and
     (n, r, d) stacks of a block (see _diagnostics_block) to the tuple of
     columns to record, one row per iteration.  Without it the driver
     records every error family, by _diagnostics_block, and each result
@@ -634,7 +637,7 @@ def _drive(network, specs, until: bool, evaluate=None) -> list:
                 outcome = (False, spec.max_iters)
             n = last - first + 1
             blocks[b].append(record(followers[:n], leaders[:n], state.starts,
-                                    state.owner))
+                                    state.sizes))
             if outcome is None:
                 keep.append(member)
                 continue

@@ -113,16 +113,16 @@ def _run_rows(network, specs, until: bool, row, evaluate=None) -> list:
     return [dict(rows[spec]) for spec in specs]
 
 
-def _no_columns(followers, leaders, starts, owner) -> tuple:
+def _no_columns(followers, leaders, starts, sizes) -> tuple:
     """Records no error family: a tau_sweep row reads only whether and when
     its run settled."""
     return ()
 
 
-def _follower_column(followers, leaders, starts, owner) -> tuple:
+def _follower_column(followers, leaders, starts, sizes) -> tuple:
     """Records follower disagreement alone, the one family that an
     intra_delay_study row reads."""
-    return (_follower_disagreement(followers, starts, owner)[1],)
+    return (_follower_disagreement(followers, starts, sizes)[1],)
 
 
 def tau_sweep(base: ScenarioSpec, taus) -> SweepResult:

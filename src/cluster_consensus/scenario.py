@@ -33,13 +33,20 @@ _REAL_FIELDS = ("gamma", "beta", "init_low", "init_high", "threshold")
 # describe; larger specs fail with ConfigError before anything is built.
 MAX_PEAK_BYTES = 2 << 30
 
-# Bytes per node pair of one cluster (or of the leaders) at the peak of
-# building, solving and running it: the dense weights, the copies eigvalsh
-# works on, and for a geometric graph the two (n, n) coordinate differences,
-# the distance test and the pairs that pass it.  On 64-bit CPython 3.11,
-# tracemalloc measures about 113 on a complete geometric cluster of 1,000
-# followers and about 32 on a sparse one.
-_BYTES_PER_PAIR = 160
+# Bytes per node pair that building and solving one cluster (or the leader
+# graph) holds at its peak, by the kind of its graph: the dense weights and
+# the copy that validates them, the one (n, n) buffer of the spectral solve
+# and the copy LAPACK makes of it, which tracemalloc does not see (8), and
+# for geometric, explicit and complete graphs the edge arrays and the
+# neighbour lists of the connectivity search; a geometric graph adds its
+# two (n, n) coordinate differences and the distance test.  On 64-bit
+# CPython 3.11 with numpy 2.4, tracemalloc measures on clusters of 1,000
+# followers a build peak of 19.8 and a spectral peak of 8.1 on a ring, and
+# 56.0 and 8.1 on a complete geometric cluster (radius 1.5), the worst case
+# of the dense kinds (a complete explicit cluster builds at 28.5).  Each
+# charge is build + spectral + 8, with a margin of about 10%.
+_BYTES_PER_PAIR = {"ring": 40, "line": 40,
+                   "geometric": 80, "explicit": 80, "complete": 80}
 
 # Keys that earlier versions wrote, each with the test a value must pass to be
 # discarded: the one placement was "first", the stride snapshot interval
@@ -235,17 +242,19 @@ class ScenarioSpec:
 def _peak_bytes(*specs) -> int:
     """Estimated peak memory of building the network of specs[0] and
     running `specs`, which share it and d, as one batch (see engine._drive),
-    in bytes: _BYTES_PER_PAIR for every node pair of each cluster and of
-    the leaders, and what the run driver holds (engine._held_bytes), with a
-    width that bounds every row's degree."""
+    in bytes: the _BYTES_PER_PAIR of the cluster family for every node pair
+    of each cluster, that of the leader graph for every pair of leaders,
+    and what the run driver holds (engine._held_bytes), with a width that
+    bounds every row's degree."""
     spec = specs[0]
     followers = [s - 1 for s in spec.cluster_sizes]
     r = len(followers)
     width = max(2 if spec.family == "ring" else max(followers) - 1,
                 min(2, r - 1) if spec.leader_graph == "line" else r - 1)
-    pairs = sum(n * n for n in followers) + r * r
+    setup = (_BYTES_PER_PAIR[spec.family] * sum(n * n for n in followers)
+             + _BYTES_PER_PAIR[spec.leader_graph] * r * r)
     reach = max(max(s.tau, s.tau_intra) for s in specs)
-    return _BYTES_PER_PAIR * pairs + _held_bytes(
+    return setup + _held_bytes(
         sum(followers) + r, spec.d, width, reach, max(s.max_iters for s in specs),
         len(specs))
 

@@ -90,18 +90,29 @@ class AdjacencyGraph:
 
     @cached_property
     def _connected(self) -> bool:
-        nbrs = [[] for _ in range(self.node_count)]
-        for i, j in self.edges.tolist():
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        seen = [True] + [False] * (self.node_count - 1)
-        stack = [0]
-        while stack:
-            for j in nbrs[stack.pop()]:
+        """Depth-first search from node 0 over the neighbour lists in
+        compressed-row form, built by numpy: the endpoints of edge e sit at
+        positions 2e and 2e + 1 of `ends`, so the partner of position p is
+        p ^ 1.  A stable argsort groups the positions by node, each
+        group's neighbours ascending, and the sorted endpoints give each
+        group's bounds.  The search reads each node's slice of one
+        memoryview, so no Python object is made per edge."""
+        n = self.node_count
+        ends = self.edges.ravel()
+        order = ends.argsort(kind="stable")
+        bounds = ends[order].searchsorted(np.arange(n + 1)).tolist()
+        order ^= 1
+        nbrs = memoryview(ends[order])
+        seen = [True] + [False] * (n - 1)
+        stack, unseen = [0], n - 1
+        while stack and unseen:
+            i = stack.pop()
+            for j in nbrs[bounds[i]:bounds[i + 1]]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
-        return all(seen)
+                    unseen -= 1
+        return not unseen
 
 
 def ring_graph(node_count: int) -> AdjacencyGraph:
@@ -280,11 +291,6 @@ def metropolis_weights(graph: AdjacencyGraph) -> WeightMatrix:
 # spectral quantities
 # =====================================================================
 
-def _deviation(w: np.ndarray) -> np.ndarray:
-    n = w.shape[0]
-    return w - np.full((n, n), 1.0 / n)
-
-
 def second_largest_singular_value(weights) -> float:
     """Spectral norm of W minus the averaging projector (1/n) * ones.
 
@@ -301,8 +307,11 @@ def second_largest_singular_value(weights) -> float:
             raise ShapeError(f"expected a square matrix, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise NumericError("matrix contains non-finite entries")
-    dev = _deviation(w)
-    if np.abs(w - w.T).max() <= 1e-13:
+    n = w.shape[0]
+    buf = np.subtract(w, w.T)       # the one (n, n) temporary of this solve
+    symmetric = np.abs(buf, out=buf).max() <= 1e-13
+    dev = np.subtract(w, 1.0 / n, out=buf)
+    if symmetric:
         return float(np.max(np.abs(np.linalg.eigvalsh(dev))))
     return float(np.linalg.svd(dev, compute_uv=False)[0])
 

@@ -1,6 +1,7 @@
 import os
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +53,22 @@ def cli():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
     return CliLauncher(command, env)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(fn) runs fn() under tracemalloc and returns its result
+    and the largest number of bytes traced at once while it ran, counted
+    from zero at its start."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 class _Swept(Exception):

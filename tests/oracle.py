@@ -40,6 +40,20 @@ def adjacency_of(graph) -> np.ndarray:
     return a
 
 
+def connected(node_count: int, edges) -> bool:
+    """Whether a breadth-first search from node 0 over sets of neighbours
+    reaches every node."""
+    neighbours = [set() for _ in range(node_count)]
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    reached = frontier = {0}
+    while frontier:
+        frontier = set().union(*(neighbours[i] for i in frontier)) - reached
+        reached = reached | frontier
+    return len(reached) == node_count
+
+
 def simulate_dense(network, initial, gamma, beta, tau, tau_intra=0,
                    steps=100):
     """Matrix-form trajectory over the global state array.

@@ -2,7 +2,6 @@
 byte for byte, and the studies run their rows through it."""
 
 import gc
-import tracemalloc
 import weakref
 
 import pytest
@@ -228,7 +227,8 @@ def test_sweep_table_built_once_per_set_of_instances(monkeypatch):
     assert built == [0, kept_at]
 
 
-def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch, swept_bytes):
+def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch, swept_bytes,
+                                                    traced_peak):
     """The estimate for a batch covers the buffer twice (the old and the
     fresh one while instances are dropped), the table, one gather and
     the accumulator, with the blocks of a run and of a run_until; and, with the
@@ -243,16 +243,12 @@ def test_batch_peak_bytes_covers_buffers_and_gather(monkeypatch, swept_bytes):
         estimate = scenario._peak_bytes(*specs)
         assert scenario._peak_bytes(specs[0]) < estimate
         for until in (False, True):
-            tracemalloc.start()
-            try:
-                results = engine._drive(network, specs, until)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            results, peak = traced_peak(lambda: engine._drive(network, specs, until))
             traces = 2 * sum(c.nbytes for result in results for c in result.trace.columns)
             assert estimate + traces >= peak, until
         with monkeypatch.context() as patch:
-            patch.setattr(scenario, "_BYTES_PER_PAIR", 0)
+            patch.setattr(scenario, "_BYTES_PER_PAIR",
+                          dict.fromkeys(scenario._BYTES_PER_PAIR, 0))
             for until in (False, True):
                 assert scenario._peak_bytes(*specs) >= swept_bytes(network, specs, until)
 

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -616,6 +615,21 @@ def test_unwritable_trace_is_storage_error(tmp_path, capsys):
     assert not trace_path.parent.exists()
 
 
+@pytest.mark.parametrize("outputs", [
+    ["run", "--trace", ""],
+    ["sweep-tau", "--taus", "1,2", "--report", ""],
+    ["sweep-tau", "--taus", "1,2", "--report", "{dir}/r.json", "--trace", ""],
+    ["intra-delay", "--tau-intra", "0", "--report", ""],
+], ids=["run_trace", "study_report", "study_trace", "intra_delay_report"])
+def test_empty_output_path_is_storage_error(tmp_path, capsys, outputs):
+    """An empty output path is a path that cannot be written: every command
+    fails on it with exit 6, none skips the write."""
+    config, _ = tiny_config(tmp_path, max_iters=200)
+    argv = [a.format(dir=tmp_path) for a in outputs]
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 6
+    assert capsys.readouterr().err.startswith("storage error: cannot write")
+
+
 def test_malformed_json_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"family": "ring",')
@@ -668,22 +682,18 @@ def test_malformed_value_is_config_error(tmp_path, capsys):
     {"family": "geometric", "radius": 0.1, "cluster_sizes": [10**6 + 1]},
     {"tau": 10**9},
 ], ids=["million_geometric_followers", "tau_1e9"])
-def test_oversized_config_exits_before_allocating(tmp_path, capsys, changes):
+def test_oversized_config_exits_before_allocating(tmp_path, capsys, traced_peak,
+                                                  changes):
     """A scenario estimated to need more than MAX_PEAK_BYTES is refused with
     exit 3 within a second, before anything large is allocated."""
     data = preset_small().to_dict()
     data.update(changes)
     config = tmp_path / "big.json"
     config.write_text(json.dumps(data))
-    tracemalloc.start()
-    try:
-        started = time.perf_counter()
-        code = main(["run", "--config", str(config),
-                     "--trace", str(tmp_path / "t.csv")])
-        elapsed = time.perf_counter() - started
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    started = time.perf_counter()
+    code, peak = traced_peak(lambda: main(["run", "--config", str(config),
+                                           "--trace", str(tmp_path / "t.csv")]))
+    elapsed = time.perf_counter() - started
     assert code == 3
     assert "GiB" in capsys.readouterr().err
     assert elapsed < 1.0

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -265,7 +264,7 @@ def one_iteration(state):
     iteration: the run driver's block evaluations on a block of that one
     iteration, so they equal its row of a traced run bit for bit."""
     followers, leaders = state.followers_at(0)[None], state.leaders_at(0)[None]
-    columns = engine._diagnostics_block(followers, leaders, state.starts, state.owner)
+    columns = engine._diagnostics_block(followers, leaders, state.starts, state.sizes)
     follower, leader, gap, node, error = (c[0].tolist() for c in columns)
     record = Record(int(state.k), tuple(follower), leader, tuple(gap), tuple(node), error)
     metric = float(engine._stopping_block(followers, leaders, state.owner)[0])
@@ -689,7 +688,7 @@ def test_sweep_many_clusters():
     assert follower_table(network)[0][0].tolist() == list(range(4000))
 
 
-def test_ellpack_allocates_less_than_a_dense_block():
+def test_ellpack_allocates_less_than_a_dense_block(traced_peak):
     """The ELLPACK build reads the non-zeros of each block where they lie:
     on the clusters of 400 and 800 followers of a ring, it allocates less
     than one dense follower block."""
@@ -698,12 +697,7 @@ def test_ellpack_allocates_less_than_a_dense_block():
     network = build_clustered_network(spec)
     blocks = ([c.follower_weights.entries for c in network.clusters]
               + [network.leader_weights.entries])
-    tracemalloc.start()
-    try:
-        index, weight = engine._ellpack(blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (index, weight), peak = traced_peak(lambda: engine._ellpack(blocks))
     assert index.shape == (3, 1202)
     assert peak < min(w.nbytes for w in blocks[:-1])
 
@@ -764,7 +758,9 @@ def test_sweep_table_refuses_an_id_outside_the_window(monkeypatch, tiny_spec,
 def families_one_sqrt_per_row(followers, leaders, starts, owner):
     """The error families and the stopping metric with a sqrt per row
     before every maximum, the formulas that _diagnostics_block and
-    _stopping_block replace with a sqrt of the largest square."""
+    _stopping_block replace with a sqrt of the largest square, and the
+    follower averages.  Each average reaches the rows of its cluster by a
+    gather by owner, where _follower_disagreement repeats it by sizes."""
     def norms(x):
         return np.sqrt(engine._squares(x))
 
@@ -779,7 +775,7 @@ def families_one_sqrt_per_row(followers, leaders, starts, owner):
     leader_dis = np.sqrt(np.add.reduce(leader_sq, axis=1))
     global_err = np.maximum(node_err.max(axis=1), np.sqrt(leader_sq.max(axis=1)))
     metric = norms(followers - leaders.take(owner, axis=1)).max(axis=1)
-    return follower_dis, leader_dis, gap, node_err, global_err, metric
+    return follower_dis, leader_dis, gap, node_err, global_err, metric, avg
 
 
 # Values whose squares are +0.0, subnormal, zero by underflow or infinite.
@@ -793,7 +789,8 @@ def test_block_evaluation_takes_sqrt_of_largest_square(d, r, n, seed, share):
     """Taking the maximum of squared distances before the sqrt gives the
     bytes of a sqrt per row: on up to 200 clusters of 1 to 4 followers,
     d from 1 to 10, and values spread from 1e-300 to 1e300 with a share of
-    -0.0, subnormals and 1e300 in them."""
+    -0.0, subnormals and 1e300 in them; the follower averages and the
+    spreads taken from them are the bytes of a gather by owner."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 5, r)
     starts = np.cumsum(np.concatenate([[0], sizes[:-1]]))
@@ -805,8 +802,9 @@ def test_block_evaluation_takes_sqrt_of_largest_square(d, r, n, seed, share):
     followers, leaders = x[:, :sizes.sum()], x[:, sizes.sum():]
     with np.errstate(all="ignore"):
         want = families_one_sqrt_per_row(followers, leaders, starts, owner)
-        got = (*engine._diagnostics_block(followers, leaders, starts, owner),
-               engine._stopping_block(followers, leaders, owner))
+        got = (*engine._diagnostics_block(followers, leaders, starts, sizes),
+               engine._stopping_block(followers, leaders, owner),
+               engine._follower_disagreement(followers, starts, sizes)[0])
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -170,6 +170,51 @@ def test_connectivity_searched_once_per_graph():
     assert not apart.is_connected() and vars(apart)["_connected"] is False
 
 
+def _spanning_tree(ids, rng) -> list:
+    """Each id after the first joins one drawn from those before it."""
+    return [(ids[k], ids[rng.integers(k)]) for k in range(1, len(ids))]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(["one", "isolated", "two", "complete", "random"]),
+       n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+def test_connectivity_matches_reference_search(kind, n, seed):
+    """The compressed-row search agrees with a breadth-first search over
+    sets on one node, on graphs with isolated nodes, on two components,
+    on complete graphs and on random pairs, on shuffled ids up to 300."""
+    rng = np.random.default_rng(seed)
+    if kind == "one":
+        n, edges = 1, []
+    elif kind == "complete":
+        n = min(n, 80)
+        edges = complete_graph(n).edges.tolist()
+    elif kind == "random":
+        pairs = complete_graph(n).edges
+        edges = pairs[rng.random(len(pairs)) < rng.choice([0.005, 0.02, 0.1])]
+    else:
+        ids = rng.permutation(n).tolist()
+        cut = int(rng.integers(1, n))
+        parts = [ids[:cut], ids[cut:]] if kind == "two" else [ids[cut:]]
+        edges = [e for part in parts for e in _spanning_tree(part, rng)]
+        edges += [tuple(rng.choice(part, 2, replace=False).tolist())
+                  for part in parts if len(part) > 1 for _ in range(len(part))]
+    graph = AdjacencyGraph.from_edges(n, edges)
+    want = oracle.connected(n, graph.edges.tolist())
+    assert graph.is_connected() is want
+    if kind in ("one", "complete"):
+        assert want
+    elif kind != "random":
+        assert not want
+
+
+def test_connectivity_search_allocates_under_40_bytes_per_pair(traced_peak):
+    """On a complete graph of 1,000 nodes the search holds its neighbour
+    ids and their sort order, not a Python object per edge."""
+    graph = complete_graph(1000)
+    connected, peak = traced_peak(graph.is_connected)
+    assert connected and peak < 40 * 1000 ** 2
+
+
 def test_geometric_graph_gives_up():
     with pytest.raises(ConstructionError):
         geometric_graph(12, 1e-6, np.random.default_rng(0))
@@ -421,6 +466,19 @@ def test_sigma_large_ring_is_exact(n):
     assert sigma == pytest.approx(1 / 3 + (2 / 3) * np.cos(2 * np.pi / n),
                                   abs=1e-12)
     assert sigma == pytest.approx(oracle.deviation_sigma(w.entries), abs=1e-12)
+
+
+def test_spectral_solve_holds_one_dense_buffer(traced_peak):
+    """The solve of an 800-follower ring allocates less than two dense
+    matrices, since the symmetry test and the deviation share one buffer,
+    and keeps the bits of the deviation formula on both routes."""
+    w = metropolis_weights(ring_graph(800))
+    sigma, peak = traced_peak(lambda: second_largest_singular_value(w))
+    assert peak < 2 * w.entries.nbytes
+    dev = w.entries - np.full((800, 800), 1 / 800)
+    assert sigma == float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+    p = np.roll(np.eye(7), 1, axis=1) * 0.6 + np.eye(7) * 0.4   # not symmetric
+    assert second_largest_singular_value(p) == oracle.deviation_sigma(p)
 
 
 def test_sigma_rejects_nonsquare():
